@@ -25,20 +25,18 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf
 
-from . import classifier
-from .family import Params
-from .oracle import arccos_hp, default_digits
+from . import classifier, family
+from .classifier import TWO_OVER_PI
+from .family import _MP, TWO_SQRT2, Params
+from .oracle import DEFAULT_DIGITS, arccos_hp, const_hp, default_digits
 
-TWO_OVER_PI = 2.0 / math.pi
 ONE_SIXTH = 1.0 / 6.0
 B_STAR = TWO_OVER_PI - 0.5  # sharp reversed-family threshold 2/pi - 1/2
-TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 PI_HALF = math.pi / 2.0
-with workdps(30):
-    CBRT4 = float(mp.cbrt(4))
-    BEST_UPPER_THM3 = float((mpf(1) / 2 + mp.sqrt(2)) * mp.pi)
+CBRT4 = float(const_hp("CBRT4", DEFAULT_DIGITS))
+BEST_UPPER_THM3 = float(const_hp("BEST_UPPER_THM3", DEFAULT_DIGITS))
 
 # outward-rounding factor: 16 eps covers the few-ulp forward error of the
 # family expressions, preserving containment through float64 evaluation
@@ -134,8 +132,7 @@ class BoundFamily:
 
         def one_sided(l1m, l1p, base):
             if coef is None:
-                side = "maximum" if upper_only else "minimum"
-                raise ValueError(f"{self.id}: envelope {side} not inside (0,1)")
+                raise self._no_extremum()
             w = math.exp(a * l1m - b * l1p)
             return (None, coef * w) if upper_only else (coef * w, None)
 
@@ -143,6 +140,9 @@ class BoundFamily:
 
     def pair_mp(self, x: mpf) -> tuple[mpf | None, mpf | None]:
         """Same expressions in mpmath arithmetic at the caller's precision."""
+        # the four double inequalities keep a sqrt/pow form of their own: the
+        # float64 kernel's log1p/exp form is no faster in mpmath, and it would
+        # change the last bits of every high-precision bound they give
         one = mpf(1)
         if self.kind in ("carlson", "thm3"):
             base = mp.sqrt(1 - x) / (2 * mp.sqrt(2) + mp.sqrt(1 + x))
@@ -154,21 +154,21 @@ class BoundFamily:
             w = mp.sqrt(1 - x) / (1 + x) ** b
             lo, up = mp.pi / 2 * w, 2 ** (b + one / 2) * w
             return (lo, up) if self.kind == "thm2" else (up, lo)
-        a, b = mpf(self.a), mpf(self.b)
-        s, d = a + b, a - b
-        disc = 16 * a * b * (b - a) + s**2
-        rt = mp.sqrt(disc)
-        w = (1 - x) ** a / (1 + x) ** b
-        if self.kind == "thm2_maxcoef":
-            root = (s * (1 - 2 * d) - rt) / (2 * d**2)
-            return None, _coef_mp(a, b, root) * w
-        root = (s * (1 - 2 * d) + rt) / (2 * d**2)
-        return _coef_mp(a, b, root) * w, None
+        p = Params(self.a, self.b)
+        upper_only = self.kind == "thm2_maxcoef"
+        disc = family._envelope_disc(_MP, p)
+        # outside (0,1) the envelope has no value (at x = 1 the log form
+        # gives 0*log(0)), so raise as pair_f64 does
+        root = family._envelope_roots(_MP, p, disc)[0 if upper_only else 1] if disc > 0 else None
+        if root is None or not 0 < root < 1:
+            raise self._no_extremum()
+        coef = family._envelope(_MP, p, root)
+        w = (1 - x) ** mpf(p.a) / (1 + x) ** mpf(p.b)
+        return (None, coef * w) if upper_only else (coef * w, None)
 
-
-def _coef_mp(a: mpf, b: mpf, root: mpf) -> mpf:
-    half = mpf(1) / 2
-    return (1 + root) ** (b + half) * (1 - root) ** (half - a) / (a + b + (a - b) * root)
+    def _no_extremum(self) -> ValueError:
+        side = "maximum" if self.kind == "thm2_maxcoef" else "minimum"
+        return ValueError(f"{self.id}: envelope {side} not inside (0,1)")
 
 
 def carlson() -> BoundFamily:
@@ -308,7 +308,9 @@ def _envelope(x: float, fams):
     if x >= 0.0:
         return _combine(x, fams)
     lo, up, lo_id, up_id = _combine(-x, fams)
-    return _PI_DOWN - up, _PI_UP - lo, up_id, lo_id
+    lower = None if up is None else _PI_DOWN - up
+    upper = None if lo is None else _PI_UP - lo
+    return lower, upper, up_id, lo_id
 
 
 def best_envelope(x: float, enabled=None) -> BoundInterval:

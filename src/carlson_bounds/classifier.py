@@ -5,7 +5,10 @@ region conditions in their published order.  classify_numeric reconstructs
 the class from computed signs: g' is strictly increasing from
 a-b-4/pi**2 (at 0+) to a-b-1/3 (at 1-), so g is monotone or has a unique
 interior minimum, and the signs of g(0), g(1-) and that minimum decide how
-many times g (hence f') crosses zero.
+many times g (hence f') crosses zero.  Each sign is one expression of a
+family backend, computed in float64 and re-run at 40 digits when it is
+too close to zero; every zero of g' (min g, critical_point_g and
+exact_increasing_threshold) comes from the one bisection _g_prime_root.
 
 The published strictly-increasing condition inside the window
 1/3 < a-b < 4/pi**2 is a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold
@@ -25,10 +28,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from . import family
-from .family import EvalPoint, Params
+from .family import _F64, _MP, EvalPoint, Params
 from .oracle import hp_context
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -94,8 +97,7 @@ def exact_increasing_threshold(d: float) -> float:
     """
     if not ONE_THIRD < d < FOUR_OVER_PI_SQ:
         raise ValueError(f"exact threshold needs 1/3 < a - b < 4/pi**2, got a - b = {d}")
-    tangent = Params(0.5 * d, -0.5 * d)
-    return -float(family.g_eval(tangent, EvalPoint(_g_prime_root_f64(tangent))))
+    return -float(_g_min(Params(0.5 * d, -0.5 * d), _F64))
 
 
 def in_window(p: Params) -> bool:
@@ -148,12 +150,13 @@ def classify_symbolic(p: Params) -> RegionClass:
     return RegionClass.INDETERMINATE
 
 
-def _sign_exact(value: float, hp_expr, tol: float) -> int:
-    """Sign of a closed-form condition value; near-tol cases re-run at 50 digits."""
+def _sign_exact(expr, tol: float) -> int:
+    """Sign of expr(m) in float64; when below tol, of expr(m) at 40 digits (0 if still ~0)."""
+    value = expr(_F64)
     if abs(value) >= tol:
         return -1 if value < 0.0 else 1
     with hp_context(40):
-        v = hp_expr()
+        v = expr(_MP)
         if v > _HP_ZERO:
             return 1
         if v < -_HP_ZERO:
@@ -161,46 +164,49 @@ def _sign_exact(value: float, hp_expr, tol: float) -> int:
     return 0
 
 
-def _g_prime_root_f64(p: Params, width: float = 1e-12) -> float:
-    """Bisect the unique zero of g' assuming g'(0) < 0 < g'(1-)."""
-    lo, hi = 0.0, 1.0 - 1e-12
-    if float(family.g_prime_eval(p, EvalPoint(hi))) <= 0.0:
-        return hi  # root crowded against x = 1
+def _window_signs(p: Params, tol: float) -> tuple[int, int]:
+    """Signs of g'(0) = a-b-4/pi**2 and g'(1-) = a-b-1/3: (-1, 1) in the window."""
+    return (
+        _sign_exact(lambda m: family._g_prime(m, p, 0), tol),
+        _sign_exact(lambda m: family._g_prime_at_1(m, p), tol),
+    )
+
+
+def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None):
+    """Bisect the zero of g' in [lo, hi], given g'(lo) < 0; None when g'(hi) <= 0.
+
+    Halves [lo, hi] down to width in float64 when digits is None and at that
+    many digits otherwise; returns the midpoint.  In float64 it also stops
+    when lo and hi are neighbours, for a width below the spacing there.
+    """
+    if family.g_prime_eval(p, EvalPoint(hi, digits)) <= 0:
+        return None
     while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if family.g_prime_eval(p, EvalPoint(mid)) < 0.0:
+        mid = (lo + hi) / 2
+        if digits is None and not lo < mid < hi:
+            break
+        if family.g_prime_eval(p, EvalPoint(mid, digits)) < 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return (lo + hi) / 2
 
 
-def _g_min_sign(p: Params, tol: float) -> int | None:
-    """Sign of min g (at the g' root); None when undecidable at 40+ digits."""
-    x0 = _g_prime_root_f64(p)
-    m = float(family.g_eval(p, EvalPoint(x0)))
-    if abs(m) >= max(tol, 1e-12):
-        return -1 if m < 0.0 else 1
-    # re-locate the root and the minimum in high precision: the double root
-    # location limits |m| resolution to about g'' * width**2
-    with hp_context(40):
-        lo, hi = mpf(0), 1 - mpf("1e-25")
-        if family.g_prime_eval(p, EvalPoint(hi, digits=40)) <= 0:
-            x0m = hi
-        else:
-            for _ in range(120):
-                mid = (lo + hi) / 2
-                if family.g_prime_eval(p, EvalPoint(mid, digits=40)) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            x0m = (lo + hi) / 2
-        mm = family.g_eval(p, EvalPoint(x0m, digits=40))
-        if mm > _HP_ZERO:
-            return 1
-        if mm < -_HP_ZERO:
-            return -1
-    return None
+def _g_min(p: Params, m):
+    """g at the zero of g' (or at the top of the bracket when g' < 0 there).
+
+    m = _F64 bisects [0, 1 - 1e-12] in float64 to width 1e-12, which resolves
+    min g to about g'' * 1e-24; m = _MP at 40 digits, in 120 halvings of
+    [0, 1 - 1e-25] (to width 1e-36), on g' of p itself: the rounded a - b of
+    a tangent pair (d/2, -d/2) is off by up to half an ulp, enough to flip
+    the sign of a min g below about 3e-17.
+    """
+    if m is _F64:
+        lo, hi, width, digits = 0.0, 1.0 - 1e-12, 1e-12, None
+    else:
+        lo, hi, width, digits = mpf(0), 1 - mpf("1e-25"), mpf("1e-36"), 40
+    x0 = _g_prime_root(p, lo, hi, width, digits)
+    return family.g_eval(p, EvalPoint(hi if x0 is None else x0, digits))
 
 
 def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
@@ -212,11 +218,9 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
     """
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
-    a, b = p.a, p.b
-    s0 = _sign_exact(a + b - TWO_OVER_PI, lambda: mpf(a) + mpf(b) - 2 / mp.pi, tol)
-    s1 = _sign_exact(2.0 * a - 1.0, lambda: 2 * mpf(a) - 1, tol)
-    lo = _sign_exact(a - b - FOUR_OVER_PI_SQ, lambda: mpf(a) - mpf(b) - 4 / mp.pi**2, tol)
-    hi = _sign_exact(a - b - ONE_THIRD, lambda: mpf(a) - mpf(b) - mpf(1) / 3, tol)
+    s0 = _sign_exact(lambda m: family._g(m, p, 0), tol)
+    s1 = _sign_exact(lambda m: family._g_at_1(m, p), tol)
+    lo, hi = _window_signs(p, tol)
     if lo >= 0:
         # g' > 0 on (0,1): g strictly increasing from a+b-2/pi to 2a-1
         if s0 >= 0:
@@ -231,10 +235,10 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
         if s1 >= 0:
             return RegionClass.STRICTLY_INCREASING
         return RegionClass.UNIQUE_MAX
-    sm = _g_min_sign(p, tol)
-    if sm is None:
+    sm = _sign_exact(lambda m: _g_min(p, m), max(tol, 1e-12))
+    if sm == 0:
         return RegionClass.INDETERMINATE
-    if sm >= 0:
+    if sm > 0:
         return RegionClass.STRICTLY_INCREASING
     if s0 <= 0 and s1 <= 0:
         return RegionClass.STRICTLY_DECREASING
@@ -250,27 +254,17 @@ def critical_point_g(p: Params, tol: float) -> float | None:
 
     None is returned when g' has constant sign (a-b outside (1/3, 4/pi**2))
     and also when the zero sits within tol of an endpoint, where no interior
-    sign change is resolvable at the requested tolerance.
+    sign change is resolvable at the requested tolerance.  A tol finer than
+    the float64 spacing at the zero yields the zero to that spacing.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
-    a, b = p.a, p.b
-    lo_sign = _sign_exact(a - b - FOUR_OVER_PI_SQ, lambda: mpf(a) - mpf(b) - 4 / mp.pi**2, tol)
-    hi_sign = _sign_exact(a - b - ONE_THIRD, lambda: mpf(a) - mpf(b) - mpf(1) / 3, tol)
+    lo_sign, hi_sign = _window_signs(p, tol)
     if lo_sign >= 0 or hi_sign <= 0:
         return None
-    lo, hi = tol, 1.0 - tol
-    if float(family.g_prime_eval(p, EvalPoint(lo))) >= 0.0:
+    if float(family.g_prime_eval(p, EvalPoint(tol))) >= 0.0:
         return None
-    if float(family.g_prime_eval(p, EvalPoint(hi))) <= 0.0:
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if family.g_prime_eval(p, EvalPoint(mid)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _g_prime_root(p, tol, 1.0 - tol, tol)
 
 
 def extrema_points(p: Params) -> ExtremaReport:
@@ -282,7 +276,7 @@ def extrema_points(p: Params) -> ExtremaReport:
     """
     a, b = p.a, p.b
     s, d = a + b, a - b
-    disc_closed = 16.0 * a * b * (b - a) + s * s
+    disc_closed = family._envelope_disc(_F64, p)
     qa = d * d
     qb = s * (2.0 * d - 1.0)
     qc = s * s - d
@@ -298,9 +292,7 @@ def extrema_points(p: Params) -> ExtremaReport:
         else:
             x2 = root
     elif disc_closed > 0.0:
-        rt = math.sqrt(disc_closed)
-        x1 = (s * (1.0 - 2.0 * d) - rt) / (2.0 * qa)
-        x2 = (s * (1.0 - 2.0 * d) + rt) / (2.0 * qa)
+        x1, x2 = family._envelope_roots(_F64, p, disc_closed)
     max_coeff = None
     min_coeff = None
     if x1 is not None and 0.0 < x1 < 1.0:

@@ -10,12 +10,22 @@ and the sign analysis of g cascades down a parameter-free chain
 q -> h -> g'' (q < 0, h > 0, g'' > 0 on [0,1)).  All of those, the critical
 value envelope, and the square-root-kernel comparison function F are
 evaluable in float64 or at any requested decimal precision.
+
+Each formula is written once, as a function of a backend m (sqrt, log1p,
+exp, acos, pi, and num to lift a parameter), the Params p and the point x.
+_F64 serves it from math and arccos_stable, _MP from mpmath at the working
+precision and acos_mp; both arccos names are looked up at call time, so
+rebinding them here reaches every formula.  _MP's log1p is mp.log(1 + x):
+rounding 1 + x costs half an ulp of 1 at most, which the guard digits
+absorb, and it keeps every high-precision value the same to the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from mpmath import mp, mpf
 
@@ -34,6 +44,23 @@ GPRIME_PROMOTE = 1e-4
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 CHAIN_SELECTORS = ("h", "q", "g_second", "big_g")
+
+_F64 = SimpleNamespace(
+    num=operator.pos,  # the identity on float (and int) parameters
+    sqrt=math.sqrt,
+    log1p=math.log1p,
+    exp=math.exp,
+    acos=lambda x: arccos_stable(x),
+    pi=math.pi,
+)
+_MP = SimpleNamespace(
+    num=mpf,
+    sqrt=mp.sqrt,
+    log1p=lambda x: mp.log(1 + x),
+    exp=mp.exp,
+    acos=lambda x: acos_mp(x),
+    pi=mp.pi,
+)
 
 
 @dataclass(frozen=True)
@@ -65,8 +92,8 @@ def _domain_error(x, lo_txt: str, hi_txt: str):
     raise ValueError(f"x must be in {lo_txt}0, 1{hi_txt}, got {x}")
 
 
-def _evaluate(pt: EvalPoint, f64, fmp, include_zero: bool, band: float = ENDPOINT_PROMOTE):
-    """Dispatch to the float64 or high-precision implementation.
+def _evaluate(pt: EvalPoint, expr, p: Params | None, include_zero: bool, band: float = ENDPOINT_PROMOTE):
+    """expr(m, p, x) with the float64 or the high-precision backend m.
 
     Domain is [0,1) when include_zero else (0,1); checks run on the value in
     the precision the point carries, so string/mpf points survive intact.
@@ -80,32 +107,28 @@ def _evaluate(pt: EvalPoint, f64, fmp, include_zero: bool, band: float = ENDPOIN
             ok = (xm >= 0 if include_zero else xm > 0) and xm < 1
             if not ok:
                 _domain_error(pt.x, lo_txt, hi_txt)
-            return fmp(xm)
+            return expr(_MP, p, xm)
     x = float(pt.x)
     ok = (x >= 0.0 if include_zero else x > 0.0) and x < 1.0
     if not ok:
         _domain_error(pt.x, lo_txt, hi_txt)
     if (0.0 < x <= ENDPOINT_PROMOTE) or (1.0 - x <= band):
         with hp_context(default_digits()):
-            return float(fmp(mpf(pt.x)))
-    return f64(x)
+            return float(expr(_MP, p, mpf(pt.x)))
+    return expr(_F64, p, x)
 
 
 # ---------------------------------------------------------------------------
 # f and its endpoint limits
 
 
+def _f(m, p, x):
+    return m.exp(p.b * m.log1p(x) - p.a * m.log1p(-x)) * m.acos(x)
+
+
 def f_eval(p: Params, pt: EvalPoint):
     """f(a,b; x) = (1+x)**b * (1-x)**(-a) * arccos x, x in (0,1)."""
-    a, b = p.a, p.b
-
-    def f64(x: float) -> float:
-        return math.exp(b * math.log1p(x) - a * math.log1p(-x)) * arccos_stable(x)
-
-    def fmp(x: mpf) -> mpf:
-        return mp.exp(b * mp.log(1 + x) - a * mp.log(1 - x)) * acos_mp(x)
-
-    return _evaluate(pt, f64, fmp, include_zero=False)
+    return _evaluate(pt, _f, p, include_zero=False)
 
 
 def f_limit_at_1(p: Params) -> float:
@@ -119,30 +142,48 @@ def f_limit_at_1(p: Params) -> float:
 # g, g' and their endpoint limits
 
 
+def _g(m, p, x):
+    a, b = m.num(p.a), m.num(p.b)
+    if not x:
+        return a + b - 2 / m.pi
+    return a + b + (a - b) * x - m.sqrt((1 - x) * (1 + x)) / m.acos(x)
+
+
+def _g_at_1(m, p):
+    return 2.0 * m.num(p.a) - 1.0
+
+
+def _g_prime(m, p, x):
+    a, b = m.num(p.a), m.num(p.b)
+    if not x:
+        return a - b - 4 / m.pi**2
+    ac = m.acos(x)
+    return a - b - 1 / (ac * ac) + x / (m.sqrt((1 - x) * (1 + x)) * ac)
+
+
+def _g_prime_at_1(m, p):
+    return m.num(p.a) - m.num(p.b) - m.num(1.0) / 3
+
+
+def _exact_zero(pt: EvalPoint) -> EvalPoint:
+    """pt moved onto x = 0 when float(x) is 0, where the closed forms at 0 apply."""
+    try:
+        return EvalPoint(0.0, pt.digits) if float(pt.x) == 0.0 else pt
+    except (TypeError, ValueError):
+        return pt
+
+
 def g_eval(p: Params, pt: EvalPoint):
     """g(a,b; x) = a + b + (a-b)*x - sqrt(1-x**2)/arccos x, x in [0,1).
 
     At x == 0 the closed form a + b - 2/pi is returned directly.
     """
-    a, b = p.a, p.b
-    if _is_exact_zero(pt):
-        if pt.digits is not None:
-            with hp_context(pt.digits):
-                return mpf(a) + mpf(b) - 2 / mp.pi
-        return a + b - 2.0 / math.pi
-
-    def f64(x: float) -> float:
-        return a + b + (a - b) * x - math.sqrt((1.0 - x) * (1.0 + x)) / arccos_stable(x)
-
-    def fmp(x: mpf) -> mpf:
-        return mpf(a) + mpf(b) + (mpf(a) - mpf(b)) * x - mp.sqrt((1 - x) * (1 + x)) / acos_mp(x)
-
-    return _evaluate(pt, f64, fmp, include_zero=True)
+    return _evaluate(_exact_zero(pt), _g, p, include_zero=True)
 
 
 def g_limit_at_1(p: Params) -> float:
     """Limit of g at x -> 1-: 2a - 1."""
-    return 2.0 * p.a - 1.0
+    return _g_at_1(_F64, p)
 
 
 def g_prime_eval(p: Params, pt: EvalPoint):
@@ -151,83 +192,41 @@ def g_prime_eval(p: Params, pt: EvalPoint):
     At x == 0 the closed form a - b - 4/pi**2 is returned directly; the
     x -> 1- limit a - b - 1/3 is delivered by g_prime_limit_at_1.
     """
-    a, b = p.a, p.b
-    if _is_exact_zero(pt):
-        if pt.digits is not None:
-            with hp_context(pt.digits):
-                return mpf(a) - mpf(b) - 4 / mp.pi**2
-        return a - b - 4.0 / math.pi**2
-
-    def f64(x: float) -> float:
-        ac = arccos_stable(x)
-        return a - b - 1.0 / (ac * ac) + x / (math.sqrt((1.0 - x) * (1.0 + x)) * ac)
-
-    def fmp(x: mpf) -> mpf:
-        ac = acos_mp(x)
-        return mpf(a) - mpf(b) - 1 / ac**2 + x / (mp.sqrt((1 - x) * (1 + x)) * ac)
-
-    return _evaluate(pt, f64, fmp, include_zero=True, band=GPRIME_PROMOTE)
+    return _evaluate(_exact_zero(pt), _g_prime, p, include_zero=True, band=GPRIME_PROMOTE)
 
 
 def g_prime_limit_at_1(p: Params) -> float:
     """Limit of g' at x -> 1-: a - b - 1/3."""
-    return p.a - p.b - 1.0 / 3.0
-
-
-def _is_exact_zero(pt: EvalPoint) -> bool:
-    try:
-        return float(pt.x) == 0.0
-    except (TypeError, ValueError):
-        return False
+    return _g_prime_at_1(_F64, p)
 
 
 # ---------------------------------------------------------------------------
 # parameter-free proof chain: h, q, g'' and the F-derivative kernel G
 
 
-def _h_f64(x: float) -> float:
-    ac = arccos_stable(x)
-    return ac * ac + x * math.sqrt((1.0 - x) * (1.0 + x)) * ac + 2.0 * (x - 1.0) * (x + 1.0)
+def _h(m, p, x):
+    ac = m.acos(x)
+    return ac * ac + x * m.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
 
 
-def _h_mp(x: mpf) -> mpf:
-    ac = acos_mp(x)
-    return ac**2 + x * mp.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
+def _q(m, p, x):
+    return 3 * x * m.sqrt((1 - x) * (1 + x)) / (1 + 2 * x * x) - m.acos(x)
 
 
-def _q_f64(x: float) -> float:
-    return 3.0 * x * math.sqrt((1.0 - x) * (1.0 + x)) / (1.0 + 2.0 * x * x) - arccos_stable(x)
+def _g_second(m, p, x):
+    return _h(m, p, x) / (((1 - x) * (1 + x)) ** 1.5 * m.acos(x) ** 3)
 
 
-def _q_mp(x: mpf) -> mpf:
-    return 3 * x * mp.sqrt((1 - x) * (1 + x)) / (1 + 2 * x**2) - acos_mp(x)
-
-
-def _g_second_f64(x: float) -> float:
-    ac = arccos_stable(x)
-    return _h_f64(x) / (((1.0 - x) * (1.0 + x)) ** 1.5 * ac**3)
-
-
-def _g_second_mp(x: mpf) -> mpf:
-    ac = acos_mp(x)
-    return _h_mp(x) / (((1 - x) * (1 + x)) ** mpf("1.5") * ac**3)
-
-
-def _big_g_f64(x: float) -> float:
-    num = (math.sqrt(1.0 + x) + TWO_SQRT2) * math.sqrt(1.0 - x)
-    return arccos_stable(x) - num / (1.0 + math.sqrt(2.0 * (x + 1.0)))
-
-
-def _big_g_mp(x: mpf) -> mpf:
-    num = (mp.sqrt(1 + x) + 2 * mp.sqrt(2)) * mp.sqrt(1 - x)
-    return acos_mp(x) - num / (1 + mp.sqrt(2 * (x + 1)))
+def _big_g(m, p, x):
+    top = (m.sqrt(1 + x) + 2 * m.sqrt(2)) * m.sqrt(1 - x)
+    return m.acos(x) - top / (1 + m.sqrt(2 * (x + 1)))
 
 
 _CHAIN = {
-    "h": (_h_f64, _h_mp, CHAIN_PROMOTE),
-    "q": (_q_f64, _q_mp, CHAIN_PROMOTE),
-    "g_second": (_g_second_f64, _g_second_mp, CHAIN_PROMOTE),
-    "big_g": (_big_g_f64, _big_g_mp, ENDPOINT_PROMOTE),
+    "h": (_h, CHAIN_PROMOTE),
+    "q": (_q, CHAIN_PROMOTE),
+    "g_second": (_g_second, CHAIN_PROMOTE),
+    "big_g": (_big_g, ENDPOINT_PROMOTE),
 }
 
 
@@ -241,12 +240,34 @@ def chain_eval(which: str, p: Params | None, pt: EvalPoint):
     """
     if which not in _CHAIN:
         raise ValueError(f"unknown chain function {which!r}; expected one of {CHAIN_SELECTORS}")
-    f64, fmp, band = _CHAIN[which]
-    return _evaluate(pt, f64, fmp, include_zero=True, band=band)
+    expr, band = _CHAIN[which]
+    return _evaluate(pt, expr, p, include_zero=True, band=band)
 
 
 # ---------------------------------------------------------------------------
-# critical-value envelope and the minimum bound for g
+# critical-value envelope, its extremum locations, and the minimum bound for g
+
+
+def _envelope(m, p, x):
+    a, b = m.num(p.a), m.num(p.b)
+    den = a + b + (a - b) * x
+    if den == 0:
+        raise ValueError(f"envelope pole: a+b+(a-b)x = 0 at x = {x}")
+    return m.exp((b + 0.5) * m.log1p(x) + (0.5 - a) * m.log1p(-x)) / den
+
+
+def _envelope_disc(m, p):
+    """16ab(b-a) + (a+b)**2, the closed discriminant of the envelope-derivative quadratic."""
+    a, b = m.num(p.a), m.num(p.b)
+    return 16.0 * a * b * (b - a) + (a + b) * (a + b)
+
+
+def _envelope_roots(m, p, disc):
+    """Roots x1 <= x2 of the envelope-derivative quadratic; needs a != b."""
+    a, b = m.num(p.a), m.num(p.b)
+    s, d = a + b, a - b
+    rt = m.sqrt(disc)
+    return (s * (1 - 2 * d) - rt) / (2 * (d * d)), (s * (1 - 2 * d) + rt) / (2 * (d * d))
 
 
 def envelope_eval(p: Params, pt: EvalPoint):
@@ -255,21 +276,7 @@ def envelope_eval(p: Params, pt: EvalPoint):
     This is the value f takes at a critical point located at x; its interior
     extrema give the coefficient bounds.  Raises on the pole a+b+(a-b)x = 0.
     """
-    a, b = p.a, p.b
-
-    def f64(x: float) -> float:
-        den = a + b + (a - b) * x
-        if den == 0.0:
-            raise ValueError(f"envelope pole: a+b+(a-b)x = 0 at x = {x}")
-        return math.exp((b + 0.5) * math.log1p(x) + (0.5 - a) * math.log1p(-x)) / den
-
-    def fmp(x: mpf) -> mpf:
-        den = mpf(a) + mpf(b) + (mpf(a) - mpf(b)) * x
-        if den == 0:
-            raise ValueError(f"envelope pole: a+b+(a-b)x = 0 at x = {x}")
-        return mp.exp((b + mpf("0.5")) * mp.log(1 + x) + (mpf("0.5") - a) * mp.log(1 - x)) / den
-
-    return _evaluate(pt, f64, fmp, include_zero=False)
+    return _evaluate(pt, _envelope, p, include_zero=False)
 
 
 def g_min_lower_bound(p: Params) -> float:
@@ -284,16 +291,13 @@ def g_min_lower_bound(p: Params) -> float:
 # the square-root-kernel comparison function F
 
 
+def _big_f(m, p, x):
+    return (2 * m.sqrt(2) + m.sqrt(1 + x)) / m.sqrt(1 - x) * m.acos(x)
+
+
 def big_f_eval(pt: EvalPoint):
     """F(x) = (2*sqrt(2) + sqrt(1+x)) / sqrt(1-x) * arccos x on (0,1).
 
     Strictly decreasing, from (1/2+sqrt(2))*pi at 0+ down to 6 at 1-.
     """
-
-    def f64(x: float) -> float:
-        return (TWO_SQRT2 + math.sqrt(1.0 + x)) / math.sqrt(1.0 - x) * arccos_stable(x)
-
-    def fmp(x: mpf) -> mpf:
-        return (2 * mp.sqrt(2) + mp.sqrt(1 + x)) / mp.sqrt(1 - x) * acos_mp(x)
-
-    return _evaluate(pt, f64, fmp, include_zero=False)
+    return _evaluate(pt, _big_f, None, include_zero=False)

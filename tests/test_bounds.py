@@ -172,6 +172,27 @@ def test_envelope_reflection_consistency_two_ulp():
         assert neg.upper_family == pos.lower_family
 
 
+def test_envelope_reflection_of_one_sided_families():
+    # reflecting x < 0 swaps the sides, so a one-sided set certifies only
+    # the other side there, and only one side is there to reflect
+    pi_down, pi_up = math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0)
+    for fam, side in ((thm2_maxcoef(0.5, 0.14), "upper"), (thm2_mincoef(0.51, 0.12), "lower")):
+        pos = best_envelope(0.5, (fam,))
+        neg = best_envelope(-0.5, (fam,))
+        if side == "upper":
+            assert neg.lower == pi_down - pos.upper and neg.upper is None
+            assert (neg.lower_family, neg.upper_family) == (fam.id, None)
+            with workdps(50):
+                assert mpf(neg.lower) < 2 * mp.pi / 3
+        else:
+            assert neg.upper == pi_up - pos.lower and neg.lower is None
+            assert (neg.lower_family, neg.upper_family) == (None, fam.id)
+            with workdps(50):
+                assert mpf(neg.upper) > 2 * mp.pi / 3
+        with pytest.raises(ValueError):
+            approx_arccos(-0.5, (fam,))
+
+
 def test_containment_bulk_with_endpoint_clusters():
     # strict containment for every default family at 40 digits:
     # 100k uniform interior points plus 1000 log-uniform points within

@@ -84,6 +84,31 @@ def test_numeric_resolves_symbolic_gap():
     assert classify_numeric(Params(0.55, 0.0)) is MIN
 
 
+@pytest.mark.parametrize("d", [0.34, 0.36, 0.38, 0.40])
+def test_numeric_min_g_fallback_at_exact_boundary(d, monkeypatch):
+    # a+b within 1e-11 of s*(d) puts min g within about 1e-11 of zero, below
+    # what the float64 zero of g' resolves: the sign must come from the
+    # 40-digit re-location of that zero, the only high-precision region
+    from carlson_bounds import classifier
+
+    regions = []
+    real = classifier.hp_context
+
+    def counting(digits):
+        regions.append(digits)
+        return real(digits)
+
+    monkeypatch.setattr(classifier, "hp_context", counting)
+    s_star = exact_increasing_threshold(d)
+    for ds, want in ((1e-11, INC), (-1e-11, MTM)):
+        s = s_star + ds
+        p = Params((s + d) / 2, (s - d) / 2)
+        regions.clear()
+        assert classify_numeric(p) is want
+        assert regions == [40]
+        assert classify_symbolic(p) is want
+
+
 def test_numeric_tol_validation():
     with pytest.raises(ValueError):
         classify_numeric(Params(0, 0), tol=0.0)
@@ -148,6 +173,10 @@ def test_critical_point_root_and_residual():
     x0 = critical_point_g(p, 1e-9)
     assert x0 is not None and 0 < x0 < 1
     assert abs(float(g_prime_eval(p, EvalPoint(x0, digits=40)))) < 1e-8
+    # a tol finer than the float64 spacing at the zero ends at that spacing
+    fine = critical_point_g(p, 1e-16)
+    assert abs(fine - x0) < 1e-9
+    assert abs(float(g_prime_eval(p, EvalPoint(fine, digits=40)))) < 1e-12
 
 
 def test_critical_point_sign_change_across_bracket():

@@ -102,6 +102,15 @@ def test_bounds_multiple_families(capsys):
     assert data["lower"] < math.acos(0.5) < data["upper"]
 
 
+def test_bounds_one_sided_family_at_negative_x(capsys):
+    code, out = run_main(capsys, "bounds", "--x", "-0.5", "--families", "thm2_maxcoef(0.5,0.14)")
+    assert code == EXIT_OK
+    assert '"upper": null' in out
+    data = json.loads(out)
+    assert data["lower"] < 2 * math.pi / 3
+    assert data["lower_family"] == "thm2_maxcoef(0.5,0.14)" and data["upper_family"] is None
+
+
 def test_bounds_bad_family_exits_64(capsys):
     assert main(["bounds", "--x", "0.5", "--families", "bogus(1)"]) == EXIT_USAGE
     capsys.readouterr()

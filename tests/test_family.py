@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
 from carlson_bounds.family import (
+    CHAIN_PROMOTE,
     CHAIN_SELECTORS,
+    ENDPOINT_PROMOTE,
+    GPRIME_PROMOTE,
     EvalPoint,
     Params,
     big_f_eval,
@@ -299,12 +302,60 @@ def test_derivative_factorizations():
 # precision plumbing
 
 
-def test_float64_requests_promote_near_endpoints():
-    p = Params(0.7, 0.2)
-    v64 = f_eval(p, EvalPoint(1.0 - 1e-9))
-    assert isinstance(v64, float)
-    vhp = float(f_eval(p, hp_pt(1.0 - 1e-9)))
-    assert v64 == pytest.approx(vhp, rel=1e-12)
+_P = Params(0.7, 0.2)
+
+
+def _g_prime_terms(x):
+    # size of the two terms of g' that cancel as x -> 1
+    ac = math.acos(x)
+    return 1.0 / ac**2 + x / (math.sqrt(1.0 - x * x) * ac)
+
+
+def _g_second_terms(x):
+    # size of h's terms (which cancel to O((1-x)**3)) over g''s denominator
+    ac, s = math.acos(x), math.sqrt(1.0 - x * x)
+    return (ac * ac + x * s * ac + 2.0 * s * s) / (s**3 * ac**3)
+
+
+# every evaluator, with the band near x = 1 where float64 requests promote
+# and, where its terms cancel, the size of those terms
+_EVALUATORS = {
+    "f": (lambda pt: f_eval(_P, pt), ENDPOINT_PROMOTE, None),
+    "g": (lambda pt: g_eval(_P, pt), ENDPOINT_PROMOTE, None),
+    "g_prime": (lambda pt: g_prime_eval(_P, pt), GPRIME_PROMOTE, _g_prime_terms),
+    "h": (lambda pt: chain_eval("h", None, pt), CHAIN_PROMOTE, None),
+    "q": (lambda pt: chain_eval("q", None, pt), CHAIN_PROMOTE, None),
+    "g_second": (lambda pt: chain_eval("g_second", None, pt), CHAIN_PROMOTE, _g_second_terms),
+    "big_g": (lambda pt: chain_eval("big_g", None, pt), ENDPOINT_PROMOTE, None),
+    "envelope": (lambda pt: envelope_eval(_P, pt), ENDPOINT_PROMOTE, None),
+    "big_f": (lambda pt: big_f_eval(pt), ENDPOINT_PROMOTE, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+def test_float64_requests_promote_near_endpoints(name):
+    # each formula is written once for both backends, so a wrong backend
+    # mapping shows as float64 and 40-digit values that drift apart.  Outside
+    # the bands they agree to 1e-12*max(1, |v|), except that a cancelling
+    # sum can be no better than a few ulps of its terms: 2e-12 for g' at
+    # 1 - 1e-4, and 4e-5 relative for g'' just outside CHAIN_PROMOTE
+    fn, band, terms = _EVALUATORS[name]
+    inside = [1.0 - 0.1 * band, ENDPOINT_PROMOTE]
+    rng = random.Random(11)
+    outside = [math.nextafter(1.0 - band, 0.0), 2.0 * ENDPOINT_PROMOTE]
+    outside += [rng.uniform(ENDPOINT_PROMOTE, 1.0 - band) for _ in range(200)]
+    outside += [1.0 - 10.0 ** rng.uniform(math.log10(band), 0.0) for _ in range(100)]
+    for x in inside:
+        v64 = fn(EvalPoint(x))
+        assert isinstance(v64, float)
+        assert v64 == pytest.approx(float(fn(hp_pt(x))), rel=1e-12)
+    for x in outside:
+        v64 = fn(EvalPoint(x))
+        vhp = float(fn(hp_pt(x)))
+        tol = 1e-12 * max(1.0, abs(vhp))
+        if terms is not None:
+            tol = max(tol, 16.0 * math.ulp(1.0) * terms(x))
+        assert abs(v64 - vhp) <= tol, (x, v64, vhp)
 
 
 def test_string_points_survive_at_high_precision():
