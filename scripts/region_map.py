@@ -24,6 +24,8 @@ def main() -> int:
     ap.add_argument("--hi", type=float, default=1.2)
     ap.add_argument("--out", type=str, default="-", help="output CSV path, - for stdout")
     args = ap.parse_args()
+    if args.n < 2:
+        ap.error(f"--n must be at least 2, got {args.n}")
 
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(out, lineterminator="\n")

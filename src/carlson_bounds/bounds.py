@@ -156,10 +156,15 @@ class BoundFamily:
             return (lo, up) if self.kind == "thm2" else (up, lo)
         p = Params(self.a, self.b)
         upper_only = self.kind == "thm2_maxcoef"
-        disc = family._envelope_disc(_MP, p)
+        if p.a == p.b:
+            # the quadratic is linear, with the one root a+b, an envelope
+            # maximum when positive (see extrema_points)
+            root = mpf(p.a) + mpf(p.b) if upper_only else None
+        else:
+            disc = family._envelope_disc(_MP, p)
+            root = family._envelope_roots(_MP, p, disc)[0 if upper_only else 1] if disc > 0 else None
         # outside (0,1) the envelope has no value (at x = 1 the log form
         # gives 0*log(0)), so raise as pair_f64 does
-        root = family._envelope_roots(_MP, p, disc)[0 if upper_only else 1] if disc > 0 else None
         if root is None or not 0 < root < 1:
             raise self._no_extremum()
         coef = family._envelope(_MP, p, root)

@@ -8,7 +8,8 @@ interior minimum, and the signs of g(0), g(1-) and that minimum decide how
 many times g (hence f') crosses zero.  Each sign is one expression of a
 family backend, computed in float64 and re-run at 40 digits when it is
 too close to zero; every zero of g' (min g, critical_point_g and
-exact_increasing_threshold) comes from the one bisection _g_prime_root.
+exact_increasing_threshold) comes from _g_prime_root, one safeguarded Newton
+iteration whose slope g'' is the parameter-free proof-chain function.
 
 The published strictly-increasing condition inside the window
 1/3 < a-b < 4/pi**2 is a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold
@@ -92,12 +93,13 @@ def exact_increasing_threshold(d: float) -> float:
         s*(d) = r(t) - t*r'(t) = sqrt(1-t**2)/arccos t - t*d,
 
     running from 2/pi at d = 4/pi**2 to 2/3 at d = 1/3 and lying below
-    increasing_threshold(d).  t comes from one bisection of g' for the pair
-    (d/2, -d/2), whose a+b is exactly 0, so g there equals -s*(d).
+    increasing_threshold(d).  t comes from the Newton iteration on g' for
+    the pair (d/2, -d/2), whose a+b is exactly 0, so g there equals -s*(d).
     """
     if not ONE_THIRD < d < FOUR_OVER_PI_SQ:
         raise ValueError(f"exact threshold needs 1/3 < a - b < 4/pi**2, got a - b = {d}")
-    return -float(_g_min(Params(0.5 * d, -0.5 * d), _F64))
+    p = Params(0.5 * d, -0.5 * d)
+    return -float(_g_min(p, _F64, _g_prime_zero64(p)))
 
 
 def in_window(p: Params) -> bool:
@@ -172,41 +174,109 @@ def _window_signs(p: Params, tol: float) -> tuple[int, int]:
     )
 
 
-def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None):
-    """Bisect the zero of g' in [lo, hi], given g'(lo) < 0; None when g'(hi) <= 0.
+# g'' falls from 0.12 at x = 0 to its limit 2/45 at 1-, its infimum on
+# [0,1); by the mean value theorem a zero x* of g' lies within
+# |g'(x)| / _G2_INF of any x
+_G2_INF = 2.0 / 45.0
 
-    Halves [lo, hi] down to width in float64 when digits is None and at that
-    many digits otherwise; returns the midpoint.  In float64 it also stops
-    when lo and hi are neighbours, for a width below the spacing there.
+# top of the float64 bracket of the zero of g'
+_TOP = 1.0 - 1e-12
+
+# the float64 zero of g' is off by up to about 6e-12 (float64 g' errs by up
+# to 2e-12 near x = 1 - GPRIME_PROMOTE, where g'' is 0.045); finer
+# tolerances are met by polishing it at 40 digits
+_ZERO64_RES = 1e-10
+
+
+def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None, x=None):
+    """Zero of g' in [lo, hi], given g'(lo) < 0 < g'(hi), by safeguarded Newton.
+
+    The slope is g'', the parameter-free chain function.  Each evaluation of
+    g' at x moves lo or hi onto x, so [lo, hi] keeps bracketing the zero; a
+    Newton step that would leave the bracket is replaced by its midpoint.
+    Starts at x (the midpoint by default) and, in float64 when digits is
+    None and at that many digits otherwise, returns x once |g'(x)| proves
+    it within width of the zero, the Newton iterate of a step no longer
+    than width, or the midpoint of a bracket no wider than width.  In
+    float64 it also stops when lo and hi are neighbours, for a width below
+    the spacing there.  g' is increasing and concave, so after the first
+    step the iterates rise to the zero from below.
     """
-    if family.g_prime_eval(p, EvalPoint(hi, digits)) <= 0:
-        return None
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if digits is None and not lo < mid < hi:
-            break
-        if family.g_prime_eval(p, EvalPoint(mid, digits)) < 0:
-            lo = mid
+    if x is None:
+        x = (lo + hi) / 2
+    while True:
+        pt = EvalPoint(x, digits)
+        slope = family.g_prime_eval(p, pt)
+        if abs(slope) <= _G2_INF * width:
+            return x
+        if slope < 0:
+            lo = x
         else:
-            hi = mid
-    return (lo + hi) / 2
+            hi = x
+        nx = x - slope / family.chain_eval("g_second", None, pt)
+        if abs(nx - x) <= width:
+            return nx
+        if not lo < nx < hi:
+            nx = (lo + hi) / 2
+            if hi - lo <= width or not lo < nx < hi:
+                return nx
+        x = nx
 
 
-def _g_min(p: Params, m):
-    """g at the zero of g' (or at the top of the bracket when g' < 0 there).
+def _top_margin() -> float:
+    """Least float64 a-b-1/3 that proves g'(_TOP) > 0 without evaluating it.
 
-    m = _F64 bisects [0, 1 - 1e-12] in float64 to width 1e-12, which resolves
-    min g to about g'' * 1e-24; m = _MP at 40 digits, in 120 halvings of
-    [0, 1 - 1e-25] (to width 1e-36), on g' of p itself: the rounded a - b of
-    a tangent pair (d/2, -d/2) is off by up to half an ulp, enough to flip
-    the sign of a min g below about 3e-17.
+    g'(x) = a-b - r'(x), and near x = 1, with theta = arccos x,
+    r'(x) = 1/3 + theta**2/45 + 2*theta**4/945 + ..., all terms positive;
+    so g'(_TOP) > 0 exactly when a-b-1/3 exceeds r'(_TOP) - 1/3 (about
+    4.4e-14).  The float64 a-b-1/3 of doubles a, b is off by less than
+    1e-16 wherever it is that small, which 2**-52 covers.
+    """
+    with hp_context(40):
+        gap = -family._g_prime(_MP, Params(0.0, 0.0), mpf(_TOP)) - mpf(1) / 3
+    return float(gap) + 2.0**-52
+
+
+_TOP_MARGIN = _top_margin()
+
+
+def _g_prime_zero64(p: Params):
+    """Float64 zero of g' in (0, _TOP) for p in the window; None when g'(_TOP) <= 0."""
+    if family._g_prime_at_1(_F64, p) <= _TOP_MARGIN and family.g_prime_eval(p, EvalPoint(_TOP)) <= 0:
+        return None
+    return _g_prime_root(p, 0.0, _TOP, 1e-12)
+
+
+def _g_min(p: Params, m, x64):
+    """min g over [0, 1 - 1e-25]: g at the zero of g', or at the top when g' < 0 there.
+
+    x64 is _g_prime_zero64(p).  m = _F64 takes g there (at _TOP when x64
+    is None), which resolves min g to about g'' * 1e-24.  m = _MP polishes
+    the zero at 40 digits, by Newton from x64 to a width of 1e-20, on g' of
+    p itself: the rounded a - b of a tangent pair (d/2, -d/2) is off by up
+    to half an ulp, enough to flip the sign of a min g below about 3e-17.
+    Newton doubles the correct digits, so from x64, within about 1e-11 of
+    the zero, one step is enough.  When x64 is None the zero, if any, lies
+    in [_TOP, 1 - 1e-25].
+
+    The 40-digit sign is sound.  g is convex, so g(x~) >= min g at any x~,
+    and a negative sign needs no accuracy in x~ at all.  A positive sign
+    rests on |x~ - x*| for the zero x*: at most the width w when |g'(x~)|
+    or the bracket proves it, and at most |s| * (1 + sup g''/inf g'') < 4w
+    after a Newton step s <= w from x_k, since |x_k - x*| <= |g'(x_k)| /
+    inf g''.  g is stationary at x*, so g(x~) - min g <= sup g'' *
+    (x~ - x*)**2 / 2 < 1e-40, below what 40 digits resolve and far below
+    the 1e-30 that _sign_exact reads as zero.
     """
     if m is _F64:
-        lo, hi, width, digits = 0.0, 1.0 - 1e-12, 1e-12, None
-    else:
-        lo, hi, width, digits = mpf(0), 1 - mpf("1e-25"), mpf("1e-36"), 40
-    x0 = _g_prime_root(p, lo, hi, width, digits)
-    return family.g_eval(p, EvalPoint(hi if x0 is None else x0, digits))
+        return family.g_eval(p, EvalPoint(_TOP if x64 is None else x64))
+    lo, hi, x = mpf(0), mpf(_TOP), x64
+    if x64 is None:
+        lo, hi, x = hi, 1 - mpf("1e-25"), None
+        if family.g_prime_eval(p, EvalPoint(hi, 40)) <= 0:
+            return family.g_eval(p, EvalPoint(hi, 40))
+    x0 = _g_prime_root(p, lo, hi, mpf("1e-20"), 40, x)
+    return family.g_eval(p, EvalPoint(x0, 40))
 
 
 def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
@@ -235,7 +305,8 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
         if s1 >= 0:
             return RegionClass.STRICTLY_INCREASING
         return RegionClass.UNIQUE_MAX
-    sm = _sign_exact(lambda m: _g_min(p, m), max(tol, 1e-12))
+    x64 = _g_prime_zero64(p)
+    sm = _sign_exact(lambda m: _g_min(p, m, x64), max(tol, 1e-12))
     if sm == 0:
         return RegionClass.INDETERMINATE
     if sm > 0:
@@ -254,8 +325,10 @@ def critical_point_g(p: Params, tol: float) -> float | None:
 
     None is returned when g' has constant sign (a-b outside (1/3, 4/pi**2))
     and also when the zero sits within tol of an endpoint, where no interior
-    sign change is resolvable at the requested tolerance.  A tol finer than
-    the float64 spacing at the zero yields the zero to that spacing.
+    sign change is resolvable at the requested tolerance.  A tol below
+    1e-10, finer than float64 g' resolves its zero, has the zero polished at
+    40 digits, so a tol finer than the float64 spacing there yields the
+    double nearest the zero.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
@@ -264,7 +337,13 @@ def critical_point_g(p: Params, tol: float) -> float | None:
         return None
     if float(family.g_prime_eval(p, EvalPoint(tol))) >= 0.0:
         return None
-    return _g_prime_root(p, tol, 1.0 - tol, tol)
+    if family.g_prime_eval(p, EvalPoint(1.0 - tol)) <= 0:
+        return None
+    x = _g_prime_root(p, tol, 1.0 - tol, max(tol, _ZERO64_RES))
+    if tol < _ZERO64_RES:
+        with hp_context(40):
+            x = float(_g_prime_root(p, mpf(tol), mpf(1.0 - tol), mpf("1e-30"), 40, x))
+    return x
 
 
 def extrema_points(p: Params) -> ExtremaReport:

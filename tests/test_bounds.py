@@ -244,6 +244,20 @@ def test_coefficient_bound_domination():
             assert lo < ref
 
 
+def test_coefficient_pair_mp_linear_case_matches_pair_f64():
+    # a = b makes the envelope-derivative quadratic linear, with the one
+    # root a+b that extrema_points takes; pair_mp must take it too
+    fam = thm2_maxcoef(0.3, 0.3)
+    lo64, up64 = fam.pair_f64(0.5)
+    with workdps(50):
+        lo, up = fam.pair_mp(mpf("0.5"))
+    assert lo is None and lo64 is None
+    assert float(up) == pytest.approx(up64, rel=1e-15)
+    for fam in (thm2_mincoef(0.3, 0.3), thm2_maxcoef(-0.3, -0.3), thm2_maxcoef(0.6, 0.6)):
+        with pytest.raises(ValueError), workdps(50):
+            fam.pair_mp(mpf("0.5"))
+
+
 # ---------------------------------------------------------------------------
 # approximation
 

@@ -109,6 +109,78 @@ def test_numeric_min_g_fallback_at_exact_boundary(d, monkeypatch):
         assert classify_symbolic(p) is want
 
 
+@pytest.mark.parametrize("d", [0.34, 0.36, 0.38, 0.40])
+def test_numeric_min_g_fallback_work_is_bounded(d, monkeypatch):
+    # the 40-digit zero of g' is polished from the float64 one: a few
+    # Newton steps, each one g' and one g'' evaluation, not 120 halvings
+    from carlson_bounds import family
+
+    calls = []
+    for name in ("g_prime_eval", "chain_eval"):
+        real = getattr(family, name)
+
+        def counting(*args, _real=real):
+            calls.append(args[-1].digits)
+            return _real(*args)
+
+        monkeypatch.setattr(family, name, counting)
+    s_star = exact_increasing_threshold(d)
+    for ds in (1e-11, -1e-11):
+        s = s_star + ds
+        calls.clear()
+        classify_numeric(Params((s + d) / 2, (s - d) / 2))
+        assert 0 < calls.count(40) <= 8, calls
+
+
+def _tangent_theta(d):
+    """theta = arccos t of the zero t of g' for a-b = d, at the working precision.
+
+    Bisects r'(cos theta) = 1/theta**2 - cos(theta)/(theta*sin(theta)) = d,
+    which rises from 1/3 to 4/pi**2 as theta goes from 0 to pi/2; a
+    parametrisation the package does not use.
+    """
+    lo, hi = mpf("1e-6"), mp.pi / 2
+    for _ in range(90):
+        mid = (lo + hi) / 2
+        if 1 / mid**2 - mp.cos(mid) / (mid * mp.sin(mid)) < d:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _window_class(a, b):
+    """Class of (a, b) with a-b inside the window, from 50-digit signs."""
+    with workdps(50):
+        am, bm = mpf(a), mpf(b)
+        s, d = am + bm, am - bm
+        th = _tangent_theta(d)
+        if s + d * mp.cos(th) - mp.sin(th) / th > 0:
+            return INC
+        g0, g1 = s > 2 / mp.pi, 2 * am > 1
+    return {(False, False): DEC, (True, False): MAX, (False, True): MIN, (True, True): MTM}[(g0, g1)]
+
+
+def test_numeric_near_exact_boundary_matches_independent_solve():
+    rng = random.Random(2024)
+    for _ in range(200):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        off = math.copysign(10 ** rng.uniform(-13, -10), rng.random() - 0.5)
+        s = exact_increasing_threshold(d) + off
+        a, b = (s + d) / 2, (s - d) / 2
+        assert classify_numeric(Params(a, b)) is _window_class(a, b), (a, b, off)
+
+
+def test_exact_threshold_matches_tangent_solve():
+    rng = random.Random(60)
+    for _ in range(60):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        with workdps(60):
+            th = _tangent_theta(mpf(d))
+            s_star = mp.sin(th) / th - d * mp.cos(th)
+            assert abs(exact_increasing_threshold(d) - s_star) <= 4e-16, d
+
+
 def test_numeric_tol_validation():
     with pytest.raises(ValueError):
         classify_numeric(Params(0, 0), tol=0.0)
@@ -177,6 +249,34 @@ def test_critical_point_root_and_residual():
     fine = critical_point_g(p, 1e-16)
     assert abs(fine - x0) < 1e-9
     assert abs(float(g_prime_eval(p, EvalPoint(fine, digits=40)))) < 1e-12
+
+
+def test_g_second_falls_to_its_infimum():
+    # the root finder's stopping rule and the min-g soundness argument take
+    # inf g'' on [0,1) to be its limit 2/45 at x = 1
+    from carlson_bounds.classifier import _G2_INF
+    from carlson_bounds.family import chain_eval
+
+    xs = [i / 100 for i in range(100)] + [1 - 10.0**-k for k in range(3, 10)]
+    vals = [chain_eval("g_second", None, EvalPoint(x, digits=40)) for x in xs]
+    assert all(u > v for u, v in zip(vals, vals[1:]))
+    assert 0 < vals[-1] - _G2_INF < 1e-8
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-16])
+def test_critical_point_within_tol_of_zero(tol):
+    # d from 1e-6 above 1/3, where the zero sits within 3e-5 of x = 1 and
+    # float64 g' resolves it only to about 6e-12, to 1e-6 below 4/pi**2
+    ds = [ONE_THIRD + 10.0**-k for k in range(2, 7)]
+    ds += [ONE_THIRD + (FOUR_OVER_PI_SQ - ONE_THIRD) * i / 12 for i in range(1, 12)]
+    ds.append(FOUR_OVER_PI_SQ - 1e-6)
+    for d in ds:
+        p = Params(0.5, 0.5 - d)
+        x0 = critical_point_g(p, tol)
+        assert x0 is not None, d
+        with workdps(50):
+            zero = mp.cos(_tangent_theta(mpf(p.a) - mpf(p.b)))
+            assert abs(x0 - zero) <= tol, (d, x0)
 
 
 def test_critical_point_sign_change_across_bracket():

@@ -1,0 +1,42 @@
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("CARLSON_PRECISION", None)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_region_map_small_grid():
+    proc = run_script("region_map.py", "--n", "11")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert rows[0] == ["a", "b", "symbolic", "numeric", "agree"]
+    body = rows[1:]
+    assert len(body) == 121
+    for a, b, symbolic, numeric, agree in body:
+        assert agree == str(symbolic == numeric)
+        # the closed forms leave some cells Indeterminate; every class they
+        # do give must be the numeric one
+        if symbolic != "Indeterminate":
+            assert agree == "True", (a, b, symbolic, numeric)
+
+
+def test_region_map_rejects_grid_below_two():
+    proc = run_script("region_map.py", "--n", "1")
+    assert proc.returncode == 2
+    assert "--n must be at least 2" in proc.stderr
