@@ -140,20 +140,54 @@ class BoundFamily:
 
     def pair_mp(self, x: mpf) -> tuple[mpf | None, mpf | None]:
         """Same expressions in mpmath arithmetic at the caller's precision."""
+        return self._kernel_mp()(x, *_shared_terms_mp(x))
+
+    def _kernel_mp(self):
+        """mpmath (lower, upper) from x and the _shared_terms_mp of x.
+
+        The kernel holds the family's constants (cbrt(4), 2*sqrt(2), pi/2,
+        2**(b+1/2), the envelope coefficient) computed at the working
+        precision mp.prec.  Only the latest precision's kernel is kept; it is
+        rebuilt when mp.prec changes, so every value matches the expression
+        evaluated from scratch at that precision to the last bit.
+        """
+        slot = self.__dict__.get("_mp_slot")
+        if slot is None or slot[0] != mp.prec:
+            # written past the frozen dataclass, as cached_property does
+            slot = self.__dict__["_mp_slot"] = (mp.prec, self._build_kernel_mp())
+        return slot[1]
+
+    def _build_kernel_mp(self):
         # the four double inequalities keep a sqrt/pow form of their own: the
         # float64 kernel's log1p/exp form is no faster in mpmath, and it would
         # change the last bits of every high-precision bound they give
         one = mpf(1)
         if self.kind in ("carlson", "thm3"):
-            base = mp.sqrt(1 - x) / (2 * mp.sqrt(2) + mp.sqrt(1 + x))
+            two_sqrt2 = 2 * mp.sqrt(2)
             if self.kind == "carlson":
-                return 6 * base, mp.cbrt(4) * mp.sqrt(1 - x) / (1 + x) ** (one / 6)
-            return 6 * base, (one / 2 + mp.sqrt(2)) * mp.pi * base
+                cbrt4, sixth = mp.cbrt(4), one / 6
+
+                def carlson_mp(x, s1m, s1p):
+                    return 6 * (s1m / (two_sqrt2 + s1p)), cbrt4 * s1m / (1 + x) ** sixth
+
+                return carlson_mp
+            top = (one / 2 + mp.sqrt(2)) * mp.pi
+
+            def thm3_mp(x, s1m, s1p):
+                base = s1m / (two_sqrt2 + s1p)
+                return 6 * base, top * base
+
+            return thm3_mp
         if self.kind in ("thm2", "thm2_reversed"):
             b = mpf(self.b)
-            w = mp.sqrt(1 - x) / (1 + x) ** b
-            lo, up = mp.pi / 2 * w, 2 ** (b + one / 2) * w
-            return (lo, up) if self.kind == "thm2" else (up, lo)
+            pi_half, top = mp.pi / 2, 2 ** (b + one / 2)
+            lo_c, up_c = (pi_half, top) if self.kind == "thm2" else (top, pi_half)
+
+            def weighted(x, s1m, s1p):
+                w = s1m / (1 + x) ** b
+                return lo_c * w, up_c * w
+
+            return weighted
         p = Params(self.a, self.b)
         upper_only = self.kind == "thm2_maxcoef"
         if p.a == p.b:
@@ -168,8 +202,13 @@ class BoundFamily:
         if root is None or not 0 < root < 1:
             raise self._no_extremum()
         coef = family._envelope(_MP, p, root)
-        w = (1 - x) ** mpf(p.a) / (1 + x) ** mpf(p.b)
-        return (None, coef * w) if upper_only else (coef * w, None)
+        a, b = mpf(p.a), mpf(p.b)
+
+        def one_sided(x, s1m, s1p):
+            w = (1 - x) ** a / (1 + x) ** b
+            return (None, coef * w) if upper_only else (coef * w, None)
+
+        return one_sided
 
     def _no_extremum(self) -> ValueError:
         side = "maximum" if self.kind == "thm2_maxcoef" else "minimum"
@@ -246,6 +285,17 @@ def _shared_terms(x: float) -> tuple[float, float, float]:
         math.log1p(x),
         math.sqrt(1.0 - x) / (TWO_SQRT2 + math.sqrt(1.0 + x)),
     )
+
+
+def _shared_terms_mp(x: mpf) -> tuple[mpf, mpf]:
+    """sqrt(1-x) and sqrt(1+x) at the working precision: what the mpmath kernels share."""
+    return mp.sqrt(1 - x), mp.sqrt(1 + x)
+
+
+def pairs_mp(fams, x: mpf) -> list[tuple[mpf | None, mpf | None]]:
+    """pair_mp of each family at x, with the shared square roots taken once."""
+    terms = _shared_terms_mp(x)
+    return [fam._kernel_mp()(x, *terms) for fam in fams]
 
 
 def _validated(fams) -> tuple[BoundFamily, ...]:

@@ -38,6 +38,15 @@ ENDPOINT_PROMOTE = 1e-8
 # wider bands for the expressions that cancel worse near x = 1:
 # h goes like (1-x)**3 and q like (1-x)**(5/2) against O(1-x) terms,
 # g' is a difference of two terms growing like 1/(1-x)
+#
+# CHAIN_PROMOTE is sized for the absolute cancellation of h (and g'), not
+# for the relative accuracy of g'' = h / ((1-x**2)**1.5 * arccos**3): just
+# outside the band g'' in float64 is only about 3.6e-5 accurate relative.
+# That is harmless as long as g'' is used only for its sign
+# (check_sign_chain) or as a Newton slope (classifier._g_prime_root: the
+# error changes a step by the same 3.6e-5 relative, and the bracket kept
+# from the signs of g' holds every iterate); a caller that needs g'' to
+# more digits must ask for it at high precision
 CHAIN_PROMOTE = 1e-5
 GPRIME_PROMOTE = 1e-4
 
@@ -205,7 +214,11 @@ def g_prime_limit_at_1(p: Params) -> float:
 
 
 def _h(m, p, x):
-    ac = m.acos(x)
+    return _h_at(m, x, m.acos(x))
+
+
+def _h_at(m, x, ac):
+    """h at x given ac = arccos x, so g'' can reuse its arccos."""
     return ac * ac + x * m.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
 
 
@@ -214,7 +227,8 @@ def _q(m, p, x):
 
 
 def _g_second(m, p, x):
-    return _h(m, p, x) / (((1 - x) * (1 + x)) ** 1.5 * m.acos(x) ** 3)
+    ac = m.acos(x)
+    return _h_at(m, x, ac) / (((1 - x) * (1 + x)) ** 1.5 * ac**3)
 
 
 def _big_g(m, p, x):

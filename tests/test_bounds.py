@@ -29,6 +29,8 @@ from carlson_bounds.bounds import (
     thm2_reversed,
     thm3,
 )
+from carlson_bounds import family
+from carlson_bounds.family import Params
 from carlson_bounds.oracle import acos_mp, arccos_stable
 
 
@@ -214,6 +216,54 @@ def test_containment_bulk_with_endpoint_clusters():
                 lo, up = fam.pair_mp(xm)
                 worst = min(worst, float((ref - lo) / ref), float((up - ref) / ref))
     assert worst > 1e-30  # strict with the testable margin
+
+
+def _pair_mp_from_scratch(fam, x):
+    """pair_mp with every constant recomputed at the working precision."""
+    one = mpf(1)
+    if fam.kind in ("carlson", "thm3"):
+        base = mp.sqrt(1 - x) / (2 * mp.sqrt(2) + mp.sqrt(1 + x))
+        if fam.kind == "carlson":
+            return 6 * base, mp.cbrt(4) * mp.sqrt(1 - x) / (1 + x) ** (one / 6)
+        return 6 * base, (one / 2 + mp.sqrt(2)) * mp.pi * base
+    if fam.kind in ("thm2", "thm2_reversed"):
+        b = mpf(fam.b)
+        w = mp.sqrt(1 - x) / (1 + x) ** b
+        lo, up = mp.pi / 2 * w, 2 ** (b + one / 2) * w
+        return (lo, up) if fam.kind == "thm2" else (up, lo)
+    p = Params(fam.a, fam.b)
+    upper_only = fam.kind == "thm2_maxcoef"
+    disc = family._envelope_disc(family._MP, p)
+    root = family._envelope_roots(family._MP, p, disc)[0 if upper_only else 1]
+    coef = family._envelope(family._MP, p, root)
+    w = (1 - x) ** mpf(p.a) / (1 + x) ** mpf(p.b)
+    return (None, coef * w) if upper_only else (coef * w, None)
+
+
+def test_pair_mp_constants_follow_the_working_precision():
+    # the per-family constants are kept between calls; switching precision
+    # back and forth on the same instances must give, bit for bit, what the
+    # expressions give from scratch at each precision
+    fams = (
+        carlson(),
+        thm3(),
+        thm2(1 / 6),
+        thm2(0.2),
+        thm2_reversed(B_STAR),
+        thm2_maxcoef(0.5, 0.14),
+        thm2_mincoef(0.51, 0.12),
+    )
+
+    def bits(v):
+        return None if v is None else (v.man, v.exp)
+
+    for digits in (17, 40, 200, 40, 17):
+        with workdps(digits):
+            for x in (mpf("0.3"), mpf(10) ** -7, 1 - mpf(10) ** -9, mpf(0.8125)):
+                for fam in fams:
+                    got = [bits(v) for v in fam.pair_mp(x)]
+                    want = [bits(v) for v in _pair_mp_from_scratch(fam, x)]
+                    assert got == want, (fam.id, digits, x)
 
 
 def test_width_decay_toward_one():

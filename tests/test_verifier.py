@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from carlson_bounds.bounds import carlson, thm2, thm3
+from carlson_bounds.bounds import B_STAR, ONE_SIXTH, BoundFamily, carlson, thm2, thm2_reversed, thm3
 from carlson_bounds.classifier import RegionClass
 from carlson_bounds.family import Params
 from carlson_bounds.verifier import (
+    _containment_points,
     check_class,
+    check_containment,
     check_double_inequality,
     check_identities,
     check_sharpness,
@@ -44,6 +46,34 @@ def test_invalid_b_produces_violation_witnesses():
 def test_containment_sample_size_validation():
     with pytest.raises(ValueError):
         check_double_inequality(carlson(), 999, 10)
+
+
+def test_suite_containment_pass_matches_single_checks():
+    fams = (carlson(), thm2(ONE_SIXTH), thm2(0.2), thm2(0.5), thm2_reversed(B_STAR), thm3())
+    suite = default_suite(seed=3)[: len(fams)]
+    singles = [check_double_inequality(fam, 2000, 10, seed=3) for fam in fams]
+    assert [r.to_dict() for r in suite] == [r.to_dict() for r in singles]
+
+
+def test_containment_pass_keeps_witnesses_per_family():
+    # thm2(0.1) is past its sharp threshold 1/6 and fails near x = 1; its
+    # witnesses stay in its own report, in point order
+    fams = (carlson(), thm2(0.1), thm3())
+    reports = check_containment(fams, 1000, 10, seed=5)
+    assert [r.to_dict() for r in reports] == [
+        check_double_inequality(fam, 1000, 10, seed=5).to_dict() for fam in fams
+    ]
+    good_c, bad, good_t = reports
+    assert good_c.passed and good_c.witnesses == []
+    assert good_t.passed and good_t.witnesses == []
+    assert not bad.passed and bad.witnesses
+    order = {float(x): i for i, x in enumerate(_containment_points(1000, 10, 5))}
+    seen = [order[x] for x, _ in bad.witnesses]
+    assert seen == sorted(seen)
+    with pytest.raises(ValueError):
+        check_containment((carlson(), BoundFamily("bogus")), 1000, 10)
+    with pytest.raises(ValueError):
+        check_containment(fams, 999, 10)
 
 
 # ---------------------------------------------------------------------------
