@@ -140,6 +140,15 @@ def f_eval(p: Params, pt: EvalPoint):
     return _evaluate(pt, _f, p, include_zero=False)
 
 
+def f64(p: Params, x: float) -> float:
+    """f in float64 at x in (0,1), with neither domain checks nor endpoint
+    promotion; an overflowing exp gives inf, as IEEE arithmetic would."""
+    try:
+        return _f(_F64, p, x)
+    except OverflowError:
+        return math.inf
+
+
 def f_limit_at_1(p: Params) -> float:
     """Limit of f at x -> 1-: 2**(b+1/2) when a == 1/2, 0 below, inf above."""
     if p.a == 0.5:

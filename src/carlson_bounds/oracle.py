@@ -46,7 +46,10 @@ def default_digits() -> int:
     raw = os.environ.get(PRECISION_ENV)
     if raw is None:
         return DEFAULT_DIGITS
-    digits = int(raw)
+    try:
+        digits = int(raw)
+    except ValueError:
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     _check_digits(digits)
     return digits
 

@@ -19,14 +19,13 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
 from mpmath import mp, mpf
 
 from . import bounds as bnd
 from . import family
 from .classifier import RegionClass
 from .family import EvalPoint, Params
-from .oracle import acos_mp, default_digits, hp_context
+from .oracle import _check_digits, acos_mp, default_digits, hp_context
 
 STRICT_MARGIN = 1e-30
 _SAMPLE_EDGE = 1e-12
@@ -148,34 +147,40 @@ _CLASS_PATTERNS = {
 _SCAN_REL_TOL = 1e-12
 
 
+def _rel_steps(f):
+    """(f[i+1] - f[i]) / max(f[i], f[i+1]) for each consecutive pair of f >= 0; NaN at 0/0."""
+    return [(f2 - f1) / (max(f1, f2) or math.nan) for f1, f2 in zip(f, f[1:])]
+
+
 def scan_pattern(p: Params, n: int, digits: int | None = None):
     """Compressed sign pattern of consecutive f differences on an n-point grid.
 
-    Differences below 1e-12 relative are re-decided at high precision, so
-    shallow extrema (and near-1 comparisons on huge f values) are resolved
-    exactly; differences still below 1e-30 relative there count as flat.
+    Returns (pattern, x, f): pattern is a tuple of +1/-1, x the grid
+    i/(n+1) for i = 1..n and f its float64 values, both tuples of floats.
+    The values come from the family formula (family.f64) without endpoint
+    promotion.  Differences below 1e-12 relative are re-decided at high
+    precision, so shallow extrema (and near-1 comparisons on huge f values)
+    are resolved exactly; differences still below 1e-30 relative there
+    count as flat.
     """
     if digits is None:
         digits = default_digits()
-    x = np.arange(1, n + 1) / (n + 1.0)
-    f = np.exp(p.b * np.log1p(x) - p.a * np.log1p(-x)) * np.arccos(x)
-    d = np.diff(f)
-    scale = np.maximum(np.abs(f[:-1]), np.abs(f[1:]))
-    rel = d / scale
-    signs = np.where(rel > _SCAN_REL_TOL, 1, np.where(rel < -_SCAN_REL_TOL, -1, 0))
-    for idx in np.nonzero(signs == 0)[0]:
-        with hp_context(digits):
-            f1 = family.f_eval(p, EvalPoint(float(x[idx]), digits=digits))
-            f2 = family.f_eval(p, EvalPoint(float(x[idx + 1]), digits=digits))
-            dm = (f2 - f1) / max(abs(f1), abs(f2))
-            if dm > STRICT_MARGIN:
-                signs[idx] = 1
-            elif dm < -STRICT_MARGIN:
-                signs[idx] = -1
+    x = tuple([i / (n + 1.0) for i in range(1, n + 1)])
+    f = tuple([family.f64(p, xi) for xi in x])
     pattern = []
-    for s in signs:
+    for idx, rel in enumerate(_rel_steps(f)):
+        if rel > _SCAN_REL_TOL:
+            s = 1
+        elif rel < -_SCAN_REL_TOL:
+            s = -1
+        else:
+            with hp_context(digits):
+                f1 = family.f_eval(p, EvalPoint(x[idx], digits=digits))
+                f2 = family.f_eval(p, EvalPoint(x[idx + 1], digits=digits))
+                dm = (f2 - f1) / max(abs(f1), abs(f2))
+            s = 1 if dm > STRICT_MARGIN else -1 if dm < -STRICT_MARGIN else 0
         if s != 0 and (not pattern or pattern[-1] != s):
-            pattern.append(int(s))
+            pattern.append(s)
     return tuple(pattern), x, f
 
 
@@ -188,14 +193,15 @@ def check_class(p: Params, expected: RegionClass, n: int, digits: int | None = N
     pattern, x, f = scan_pattern(p, n, digits)
     passed = pattern == _CLASS_PATTERNS[expected]
     witnesses = []
+    # index() finds the first occurrence of the extreme value
     if expected in (RegionClass.UNIQUE_MAX, RegionClass.MAX_THEN_MIN):
-        witnesses.append((float(x[int(np.argmax(f))]), "grid argmax of f"))
+        witnesses.append((x[f.index(max(f))], "grid argmax of f"))
     if expected in (RegionClass.UNIQUE_MIN, RegionClass.MAX_THEN_MIN):
-        witnesses.append((float(x[int(np.argmin(f[len(f) // 8 :])) + len(f) // 8]), "grid argmin of f (right part)"))
+        right = n // 8
+        witnesses.append((x[f.index(min(f[right:]), right)], "grid argmin of f (right part)"))
     if not passed:
         witnesses.append(([p.a, p.b], f"observed pattern {pattern}, expected {_CLASS_PATTERNS[expected]}"))
-    d = np.abs(np.diff(f)) / np.maximum(np.abs(f[:-1]), np.abs(f[1:]))
-    worst = float(np.min(d[d > 0])) if np.any(d > 0) else 0.0
+    worst = min([a for a in map(abs, _rel_steps(f)) if a > 0], default=0.0)
     return VerificationReport(
         check_id=f"class:({p.a!r},{p.b!r}):{expected.value}",
         samples=n,
@@ -438,6 +444,7 @@ def default_suite(seed: int = 0, digits: int | None = None) -> list[Verification
     """Every check at default sizes, deterministic in (seed, digits)."""
     if digits is None:
         digits = default_digits()
+    _check_digits(digits)
     containment = (
         bnd.carlson(),
         bnd.thm2(bnd.ONE_SIXTH),

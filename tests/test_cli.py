@@ -196,6 +196,29 @@ def test_verify_csv_format(capsys):
     assert lines[0] == "check_id,samples,worst_margin,passed,witnesses"
 
 
+@pytest.mark.parametrize("digits", ["5", "16", "201"])
+def test_verify_precision_out_of_range_exits_64(capsys, digits):
+    code, out = run_main(capsys, "verify", "--precision", digits)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_verify_precision_at_lower_limit_passes(capsys):
+    code, out = run_main(capsys, "verify", "--precision", "17")
+    assert code == EXIT_OK
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["suite_passed"] is True
+    assert summary["precision"] == 17
+
+
+def test_precision_env_malformed_names_the_variable():
+    env = {**PKG_ENV, "CARLSON_PRECISION": "abc"}
+    proc = run_cli("table", "--grid", "2", env=env)
+    assert proc.returncode == EXIT_USAGE
+    assert b"CARLSON_PRECISION" in proc.stderr
+    assert b"'abc'" in proc.stderr
+
+
 def test_precision_env_override_rejected_when_out_of_range():
     # the table command consumes the oracle default, so a bad override
     # surfaces as a usage error there

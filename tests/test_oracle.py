@@ -13,6 +13,7 @@ from carlson_bounds.oracle import (
     arccos_hp,
     arccos_stable,
     const_hp,
+    default_digits,
     ulp_distance,
 )
 
@@ -58,6 +59,19 @@ def test_arccos_hp_domain_and_precision_errors():
         arccos_hp(0.5, 16)
     with pytest.raises(ValueError):
         arccos_hp(0.5, 500)
+
+
+def test_default_digits_env_values(monkeypatch):
+    monkeypatch.delenv("CARLSON_PRECISION", raising=False)
+    assert default_digits() == 40
+    monkeypatch.setenv("CARLSON_PRECISION", "30")
+    assert default_digits() == 30
+    monkeypatch.setenv("CARLSON_PRECISION", "abc")
+    with pytest.raises(ValueError, match="CARLSON_PRECISION must be an integer, got 'abc'"):
+        default_digits()
+    monkeypatch.setenv("CARLSON_PRECISION", "10")
+    with pytest.raises(ValueError, match=r"precision must be in \[17, 200\]"):
+        default_digits()
 
 
 def test_hpvalue_carries_digits():

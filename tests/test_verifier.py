@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
+from mpmath import mpf
 
 from carlson_bounds.bounds import B_STAR, ONE_SIXTH, BoundFamily, carlson, thm2, thm2_reversed, thm3
 from carlson_bounds.classifier import RegionClass
-from carlson_bounds.family import Params
+from carlson_bounds.family import EvalPoint, Params, f_eval
+from carlson_bounds.oracle import hp_context
 from carlson_bounds.verifier import (
     _containment_points,
     check_class,
@@ -14,8 +17,18 @@ from carlson_bounds.verifier import (
     check_sharpness,
     check_sign_chain,
     default_suite,
+    scan_pattern,
     suite_passed,
 )
+
+# the five class checks of default_suite
+SUITE_CLASSES = [
+    (Params(0.0, 0.0), RegionClass.STRICTLY_DECREASING, 1024),
+    (Params(0.6, 0.3), RegionClass.STRICTLY_INCREASING, 1024),
+    (Params(0.5, 0.14), RegionClass.UNIQUE_MAX, 2048),
+    (Params(0.51, 0.12), RegionClass.UNIQUE_MIN, 2048),
+    (Params(0.51375, 0.12375), RegionClass.MAX_THEN_MIN, 4096),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +120,38 @@ def test_class_check_max_then_min_needs_true_region():
     assert rep.passed
 
 
+@pytest.mark.parametrize("p, expected, n", SUITE_CLASSES)
+def test_scan_values_are_the_family_formula(p, expected, n):
+    _, xs, fs = scan_pattern(p, n)
+    assert isinstance(xs, tuple) and isinstance(fs, tuple)
+    assert xs == tuple(i / (n + 1.0) for i in range(1, n + 1))
+    # positive finite floats: == is bitwise identity
+    assert fs == tuple(f_eval(p, EvalPoint(x)) for x in xs)
+
+
+@pytest.mark.parametrize("p, expected, n", SUITE_CLASSES)
+def test_class_worst_margin_matches_high_precision_step(p, expected, n):
+    rep = check_class(p, expected, n)
+    assert rep.passed
+    _, xs, fs = scan_pattern(p, n)
+    steps = [abs(f2 - f1) / max(f1, f2) for f1, f2 in zip(fs, fs[1:])]
+    i = steps.index(rep.worst_margin)
+    f1, f2 = (f_eval(p, EvalPoint(x, digits=50)) for x in xs[i : i + 2])
+    with hp_context(50):
+        exact = abs(f2 - f1) / max(f1, f2)
+        assert abs(rep.worst_margin - exact) / exact < mpf("1e-3")
+    assert math.isfinite(rep.worst_margin) and rep.worst_margin > 0
+
+
+def test_scan_survives_float64_overflow_and_underflow():
+    # (1-x)**-200 overflows near x = 1 and (1-x)**300 underflows there; those
+    # steps have no float64 relative size and are decided at high precision
+    pattern, _, fs = scan_pattern(Params(200.0, 0.0), 1024)
+    assert pattern == (1,) and math.inf in fs
+    pattern, _, fs = scan_pattern(Params(-300.0, 0.0), 1024)
+    assert pattern == (-1,) and 0.0 in fs
+
+
 def test_class_check_validation():
     with pytest.raises(ValueError):
         check_class(Params(0, 0), RegionClass.STRICTLY_DECREASING, 128)
@@ -191,6 +236,12 @@ def test_checks_are_deterministic_per_seed():
     c = check_identities(1000, seed=9).to_dict()
     d = check_identities(1000, seed=9).to_dict()
     assert c == d
+
+
+def test_default_suite_rejects_out_of_range_digits():
+    for digits in (5, 16, 201):
+        with pytest.raises(ValueError, match="precision must be in"):
+            default_suite(digits=digits)
 
 
 def test_default_suite_green():
