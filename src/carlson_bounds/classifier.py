@@ -7,9 +7,15 @@ a-b-4/pi**2 (at 0+) to a-b-1/3 (at 1-), so g is monotone or has a unique
 interior minimum, and the signs of g(0), g(1-) and that minimum decide how
 many times g (hence f') crosses zero.  Each sign is one expression of a
 family backend, computed in float64 and re-run at 40 digits when it is
-too close to zero; every zero of g' (min g, critical_point_g and
-exact_increasing_threshold) comes from _g_prime_root, one safeguarded Newton
-iteration whose slope g'' is the parameter-free proof-chain function.
+too close to zero.  Every zero of g' comes from _g_prime_root, one
+safeguarded Newton iteration whose slope g'' is the parameter-free
+proof-chain function.  At 40 digits the sign of min g needs no polished
+zero: g'' >= 2/45 on [0, 1), so at the float64 zero x64 of g'
+
+    g(x64) - g'(x64)**2 * 45/4 <= min g <= g(x64),
+
+one g and one g' evaluation, decides every |min g| above about 5e-23.
+Only a narrower min g polishes the zero at 40 digits.
 
 The published strictly-increasing condition inside the window
 1/3 < a-b < 4/pi**2 is a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold
@@ -19,8 +25,11 @@ is still positive and f is strictly increasing (for example
 its own, is too wide.  classify_symbolic therefore tests the window
 against the exact boundary exact_increasing_threshold(a-b) instead; the
 max-then-min branch is then only reached below that boundary, where the
-published condition is exact.  increasing_threshold, in_max_then_min_region
-and family.g_min_lower_bound keep the published, merely sufficient, forms.
+published condition is exact.  Within 1e-14 of the boundary, where float64
+s*(d) no longer resolves the sign of min g, classify_symbolic reads that
+sign from the same 40-digit enclosure.  increasing_threshold,
+in_max_then_min_region and family.g_min_lower_bound keep the published,
+merely sufficient, forms.
 """
 
 from __future__ import annotations
@@ -102,6 +111,11 @@ def exact_increasing_threshold(d: float) -> float:
     return -float(_g_min(p, _F64, _g_prime_zero64(p)))
 
 
+# band around s*(d) where classify_symbolic reads the sign of min g at 40
+# digits (see its docstring for the float64 error bound it covers)
+_S_STAR_ERR = 1e-14
+
+
 def in_window(p: Params) -> bool:
     """1/3 < a-b < 4/pi**2: g' changes sign, g has a unique interior minimum."""
     return ONE_THIRD < p.a - p.b < FOUR_OVER_PI_SQ
@@ -133,7 +147,26 @@ def classify_symbolic(p: Params) -> RegionClass:
     """First matching closed-form region condition, in published order.
 
     Inside the window the strictly-increasing test uses the exact boundary
-    exact_increasing_threshold(a-b) in place of the published threshold.
+    s*(d) = exact_increasing_threshold(d), d = a-b, in place of the
+    published threshold: min g = a+b - s*(a-b).  The float64 comparison of
+    a+b with s*(d) errs by less than 1.2e-15, with u = 2**-53:
+
+    - s*(d) is -g at the float64 zero x64 of g' for (d/2, -d/2), whose a+b
+      is 0 and a-b is d, exactly.  Float64 g = d*x - r(x) there has r =
+      sqrt((1-x)(1+x)) / arccos x below 1.  The square root errs by 2.5u
+      relative; arccos_stable = 2 atan2(sqrt(1-x), sqrt(1+x)) by 3u from its
+      arguments (atan's condition number is at most 1) plus 2u for atan2,
+      taken to be correct to an ulp; the quotient by one more u: 8.5u in r.
+      d*x, below 0.41, and the difference, below 2/3, round once each:
+      under 10u = 1.1e-15 in all.  g(x64) exceeds min g by at most the
+      width of the enclosure in _g_min, about 5e-23.
+    - The rounded a+b and a-b err by half an ulp each, under 5.6e-17 and
+      2.8e-17, and |ds*/dd| = t < 1.
+
+    Within _S_STAR_ERR = 1e-14 of s*(d), over eight times that bound, the
+    float64 comparison decides nothing: the sign of min g is the 40-digit
+    one of _g_min, StrictlyIncreasing when positive, Indeterminate within
+    1e-30 of zero, and the published branches below s*(d) when negative.
     """
     a, b = p.a, p.b
     s, d = a + b, a - b
@@ -141,8 +174,14 @@ def classify_symbolic(p: Params) -> RegionClass:
         return RegionClass.STRICTLY_DECREASING
     if (s >= TWO_OVER_PI and d >= FOUR_OVER_PI_SQ) or (a >= 0.5 and d <= ONE_THIRD):
         return RegionClass.STRICTLY_INCREASING
-    if in_window(p) and s >= exact_increasing_threshold(d):
-        return RegionClass.STRICTLY_INCREASING
+    if in_window(p):
+        gap = s - exact_increasing_threshold(d)
+        if abs(gap) < _S_STAR_ERR:
+            gap = _sign_hp(lambda m: _g_min(p, m, _g_prime_zero64(p)))
+            if gap == 0:
+                return RegionClass.INDETERMINATE
+        if gap > 0:
+            return RegionClass.STRICTLY_INCREASING
     if in_unique_max_region(p):
         return RegionClass.UNIQUE_MAX
     if in_unique_min_region(p):
@@ -153,10 +192,15 @@ def classify_symbolic(p: Params) -> RegionClass:
 
 
 def _sign_exact(expr, tol: float) -> int:
-    """Sign of expr(m) in float64; when below tol, of expr(m) at 40 digits (0 if still ~0)."""
+    """Sign of expr(m) in float64; when below tol, _sign_hp(expr)."""
     value = expr(_F64)
     if abs(value) >= tol:
         return -1 if value < 0.0 else 1
+    return _sign_hp(expr)
+
+
+def _sign_hp(expr) -> int:
+    """Sign of expr(_MP) in one 40-digit region; 0 within _HP_ZERO of zero."""
     with hp_context(40):
         v = expr(_MP)
         if v > _HP_ZERO:
@@ -182,7 +226,7 @@ _G2_INF = 2.0 / 45.0
 # top of the float64 bracket of the zero of g'
 _TOP = 1.0 - 1e-12
 
-# the float64 zero of g' is off by up to about 6e-12 (float64 g' errs by up
+# the float64 zero of g' is off by up to about 5e-11 (float64 g' errs by up
 # to 2e-12 near x = 1 - GPRIME_PROMOTE, where g'' is 0.045); finer
 # tolerances are met by polishing it at 40 digits
 _ZERO64_RES = 1e-10
@@ -248,25 +292,35 @@ def _g_prime_zero64(p: Params):
 
 
 def _g_min(p: Params, m, x64):
-    """min g over [0, 1 - 1e-25]: g at the zero of g', or at the top when g' < 0 there.
+    """min g over [0, 1 - 1e-25], or at 40 digits a value of its sign.
 
     x64 is _g_prime_zero64(p).  m = _F64 takes g there (at _TOP when x64
-    is None), which resolves min g to about g'' * 1e-24.  m = _MP polishes
-    the zero at 40 digits, by Newton from x64 to a width of 1e-20, on g' of
-    p itself: the rounded a - b of a tangent pair (d/2, -d/2) is off by up
-    to half an ulp, enough to flip the sign of a min g below about 3e-17.
-    Newton doubles the correct digits, so from x64, within about 1e-11 of
-    the zero, one step is enough.  When x64 is None the zero, if any, lies
-    in [_TOP, 1 - 1e-25].
+    is None), which resolves min g to about g'' * 1e-24.
 
-    The 40-digit sign is sound.  g is convex, so g(x~) >= min g at any x~,
-    and a negative sign needs no accuracy in x~ at all.  A positive sign
-    rests on |x~ - x*| for the zero x*: at most the width w when |g'(x~)|
-    or the bracket proves it, and at most |s| * (1 + sup g''/inf g'') < 4w
-    after a Newton step s <= w from x_k, since |x_k - x*| <= |g'(x_k)| /
-    inf g''.  g is stationary at x*, so g(x~) - min g <= sup g'' *
-    (x~ - x*)**2 / 2 < 1e-40, below what 40 digits resolve and far below
-    the 1e-30 that _sign_exact reads as zero.
+    m = _MP evaluates g and g' once each at x64, at 40 digits and on p
+    itself (the rounded a - b of a tangent pair (d/2, -d/2) is off by up to
+    half an ulp, enough to flip the sign of a min g below about 3e-17), and
+    encloses min g:
+
+        g(x64) - g'(x64)**2 / (2 inf g'') <= min g <= g(x64).
+
+    The upper bound holds at any point of [0, 1 - 1e-25].  The lower one
+    holds because g'' >= inf g'' = 2/45 on [0, 1), so g lies above the
+    parabola g(x64) + g'(x64) (x - x64) + (x - x64)**2 / 45, whose least
+    value it is.  g(x64) below -1e-30, the zero of _sign_exact, is returned
+    as is, and so is a lower bound above 1e-30; each has the sign of min g
+    and decides it.  Float64 g' errs by up to about 2e-12, so |g'(x64)| is
+    about that at most, the enclosure at most about 5e-23 wide, and every
+    |min g| above that is decided.
+
+    Otherwise, or when x64 is None (the zero, if any, then lies in [_TOP,
+    1 - 1e-25]), the zero is polished at 40 digits by Newton to a width of
+    1e-20, and g there is returned.  That is within 1e-40 of min g: g is
+    stationary at the zero x*, the polished x~ is within 4e-20 of it (at
+    most the width when |g'(x~)| or the bracket proves it, at most
+    |s| * (1 + sup g''/inf g'') after a Newton step s), so g(x~) - min g
+    <= sup g'' * (x~ - x*)**2 / 2, far below the 1e-30 that _sign_exact
+    reads as zero.
     """
     if m is _F64:
         return family.g_eval(p, EvalPoint(_TOP if x64 is None else x64))
@@ -275,6 +329,14 @@ def _g_min(p: Params, m, x64):
         lo, hi, x = hi, 1 - mpf("1e-25"), None
         if family.g_prime_eval(p, EvalPoint(hi, 40)) <= 0:
             return family.g_eval(p, EvalPoint(hi, 40))
+    else:
+        pt = EvalPoint(x64, 40)
+        upper = family.g_eval(p, pt)
+        lower = upper - family.g_prime_eval(p, pt) ** 2 * 45 / 4  # 2 inf g'' = 4/45
+        if upper < -_HP_ZERO:
+            return upper
+        if lower > _HP_ZERO:
+            return lower
     x0 = _g_prime_root(p, lo, hi, mpf("1e-20"), 40, x)
     return family.g_eval(p, EvalPoint(x0, 40))
 
@@ -283,8 +345,10 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
     """Class from computed signs of g(0), g(1-), the g' limits and min g.
 
     Signs smaller than tol in float64 are re-evaluated at high precision;
-    a minimum of g still indistinguishable from zero at 40 digits yields
-    Indeterminate.
+    for min g that is the enclosure of _g_min, one 40-digit g and g' at
+    the float64 zero of g', polished by Newton only when the enclosure
+    straddles zero.  A minimum of g still indistinguishable from zero at
+    40 digits yields Indeterminate.
     """
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")

@@ -50,7 +50,10 @@ def default_digits() -> int:
         digits = int(raw)
     except ValueError:
         raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
-    _check_digits(digits)
+    try:
+        _check_digits(digits)
+    except ValueError as exc:
+        raise ValueError(f"{PRECISION_ENV}: {exc}") from None
     return digits
 
 

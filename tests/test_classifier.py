@@ -87,8 +87,8 @@ def test_numeric_resolves_symbolic_gap():
 @pytest.mark.parametrize("d", [0.34, 0.36, 0.38, 0.40])
 def test_numeric_min_g_fallback_at_exact_boundary(d, monkeypatch):
     # a+b within 1e-11 of s*(d) puts min g within about 1e-11 of zero, below
-    # what the float64 zero of g' resolves: the sign must come from the
-    # 40-digit re-location of that zero, the only high-precision region
+    # the float64 tolerance: the sign must come from the 40-digit enclosure
+    # of min g at the float64 zero of g', the only high-precision region
     from carlson_bounds import classifier
 
     regions = []
@@ -111,8 +111,8 @@ def test_numeric_min_g_fallback_at_exact_boundary(d, monkeypatch):
 
 @pytest.mark.parametrize("d", [0.34, 0.36, 0.38, 0.40])
 def test_numeric_min_g_fallback_work_is_bounded(d, monkeypatch):
-    # the 40-digit zero of g' is polished from the float64 one: a few
-    # Newton steps, each one g' and one g'' evaluation, not 120 halvings
+    # the 40-digit sign of min g costs one g' evaluation at the float64
+    # zero of g' (a few Newton steps where it polishes), not 120 halvings
     from carlson_bounds import family
 
     calls = []
@@ -169,6 +169,120 @@ def test_numeric_near_exact_boundary_matches_independent_solve():
         s = exact_increasing_threshold(d) + off
         a, b = (s + d) / 2, (s - d) / 2
         assert classify_numeric(Params(a, b)) is _window_class(a, b), (a, b, off)
+
+
+def _s_star50(d):
+    """s*(d) from the 50-digit theta solve."""
+    with workdps(50):
+        th = _tangent_theta(mpf(d))
+        return mp.sin(th) / th - d * mp.cos(th)
+
+
+def _pair_at(d, s_star, off):
+    """Doubles (a, b) with a-b near d and a+b the double nearest s_star + off."""
+    with workdps(50):
+        s = float(s_star + mpf(off))
+    return (s + d) / 2, (s - d) / 2
+
+
+def test_both_classifiers_right_within_3e_17_of_exact_boundary():
+    # float64 s*(d) errs by up to about 4e-16, so a bare float comparison
+    # of a+b with it is a coin toss this close; inside its error band the
+    # symbolic classifier must read the 40-digit sign of min g instead
+    rng = random.Random(317)
+    wrong = []
+    for i in range(1000):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        a, b = _pair_at(d, _s_star50(d), "3e-17" if i % 2 else "-3e-17")
+        want = _window_class(a, b)
+        for classify in (classify_numeric, classify_symbolic):
+            got = classify(Params(a, b))
+            if got is not IND and got is not want:
+                wrong.append((classify.__name__, a, b, got, want))
+    assert not wrong, (len(wrong), wrong[:5])
+
+
+def _count_hp_calls(monkeypatch):
+    """Digits of every family.g_prime_eval / chain_eval call, as they happen."""
+    from carlson_bounds import family
+
+    calls = {"g_prime_eval": [], "chain_eval": []}
+    for name, seen in calls.items():
+        real = getattr(family, name)
+
+        def counting(*args, _real=real, _seen=seen):
+            _seen.append(args[-1].digits)
+            return _real(*args)
+
+        monkeypatch.setattr(family, name, counting)
+    return calls
+
+
+def test_min_g_enclosure_holds_near_the_tangent_point():
+    # g(x) - g'(x)**2 * 45/4 <= min g <= g(x) for any x: g'' >= 2/45
+    rng = random.Random(45)
+    for _ in range(100):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        a = rng.uniform(0.3, 0.7)
+        p = Params(a, a - d)
+        with workdps(50):
+            dm = mpf(p.a) - mpf(p.b)
+            th = _tangent_theta(dm)
+            min_g = mpf(p.a) + mpf(p.b) - (mp.sin(th) / th - dm * mp.cos(th))
+            x = mp.cos(th) + mpf(rng.uniform(-1e-6, 1e-6))
+            g = g_eval(p, EvalPoint(x, 50))
+            gp = g_prime_eval(p, EvalPoint(x, 50))
+            assert g - gp**2 * 45 / 4 <= min_g <= g, (a, d)
+
+
+@pytest.mark.parametrize("off", [1e-11, -1e-11, 1e-13, -1e-13])
+def test_min_g_enclosure_decides_without_the_polish(off, monkeypatch):
+    calls = _count_hp_calls(monkeypatch)
+    rng = random.Random(11)
+    for _ in range(20):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        a, b = _pair_at(d, _s_star50(d), off)
+        for seen in calls.values():
+            seen.clear()
+        assert classify_numeric(Params(a, b)) is _window_class(a, b), (a, b)
+        assert calls["g_prime_eval"].count(40) == 1, (a, b, calls)
+        assert calls["chain_eval"].count(40) == 0, (a, b, calls)
+
+
+def test_min_g_polish_runs_where_the_enclosure_straddles_zero(monkeypatch):
+    # at a+b = s*(d) to the double, min g is about 1e-17, which the
+    # enclosure at the float64 zero of g' decides alone.  At a point 1e-6
+    # off that zero the enclosure is 1e-14 to 1e-13 wide and straddles zero,
+    # so the Newton polish must run and give the class the enclosure gave.
+    from carlson_bounds import classifier
+
+    rng = random.Random(0)
+    points = []
+    for _ in range(20):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        a, b = _pair_at(d, _s_star50(d), 0)
+        points.append((Params(a, b), classify_numeric(Params(a, b))))
+    real = classifier._g_prime_zero64
+    monkeypatch.setattr(classifier, "_g_prime_zero64", lambda p: real(p) - 1e-6)
+    calls = _count_hp_calls(monkeypatch)
+    for p, want in points:
+        calls["chain_eval"].clear()
+        assert classify_numeric(p) is want is _window_class(p.a, p.b), p
+        assert calls["chain_eval"].count(40) > 0, p
+
+
+@pytest.mark.parametrize("off", [1e-11, -1e-11])
+def test_min_g_polish_runs_when_the_zero_is_above_the_float64_bracket(off, monkeypatch):
+    # a-b within 4.4e-14 of 1/3 puts the zero of g' above 1 - 1e-12, where
+    # float64 has no zero to offer: the 40-digit polish locates it
+    from carlson_bounds import classifier
+
+    d = ONE_THIRD + 4e-14
+    assert classifier._g_prime_zero64(Params(0.5, 0.5 - d)) is None
+    calls = _count_hp_calls(monkeypatch)
+    a, b = _pair_at(d, _s_star50(d), off)
+    assert classify_numeric(Params(a, b)) is _window_class(a, b)
+    assert calls["chain_eval"].count(40) > 0
 
 
 def test_exact_threshold_matches_tangent_solve():
@@ -266,7 +380,7 @@ def test_g_second_falls_to_its_infimum():
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-16])
 def test_critical_point_within_tol_of_zero(tol):
     # d from 1e-6 above 1/3, where the zero sits within 3e-5 of x = 1 and
-    # float64 g' resolves it only to about 6e-12, to 1e-6 below 4/pi**2
+    # float64 g' resolves it only to about 5e-11, to 1e-6 below 4/pi**2
     ds = [ONE_THIRD + 10.0**-k for k in range(2, 7)]
     ds += [ONE_THIRD + (FOUR_OVER_PI_SQ - ONE_THIRD) * i / 12 for i in range(1, 12)]
     ds.append(FOUR_OVER_PI_SQ - 1e-6)

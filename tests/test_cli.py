@@ -225,6 +225,8 @@ def test_precision_env_override_rejected_when_out_of_range():
     env = {**PKG_ENV, "CARLSON_PRECISION": "10"}
     proc = run_cli("table", "--grid", "3", env=env)
     assert proc.returncode == EXIT_USAGE
+    assert b"CARLSON_PRECISION" in proc.stderr
+    assert b"precision must be in [17, 200]" in proc.stderr
 
 
 def test_precision_env_override_accepted():
