@@ -80,16 +80,17 @@ class BoundFamily:
         if self.kind == "thm2_reversed":
             return self.b <= B_STAR
         p = Params(self.a, self.b)
+        region = classifier.classify_symbolic(p)
         rep = classifier.extrema_points(p)
         if self.kind == "thm2_maxcoef":
             return (
-                classifier.in_unique_max_region(p)
+                region is classifier.RegionClass.UNIQUE_MAX
                 and rep.disc_closed > 0.0
                 and rep.x1 is not None
                 and rep.x1 > 0.0
             )
         return (
-            classifier.in_unique_min_region(p)
+            region is classifier.RegionClass.UNIQUE_MIN
             and rep.disc_closed > 0.0
             and rep.x2 is not None
             and 0.0 < rep.x2 < 1.0

@@ -1,35 +1,36 @@
 """Monotonicity/extremum classification of the family f(a,b) on (0,1).
 
-Two classifiers are provided.  classify_symbolic applies the closed-form
-region conditions in their published order.  classify_numeric reconstructs
-the class from computed signs: g' is strictly increasing from
-a-b-4/pi**2 (at 0+) to a-b-1/3 (at 1-), so g is monotone or has a unique
-interior minimum, and the signs of g(0), g(1-) and that minimum decide how
-many times g (hence f') crosses zero.  Each sign is one expression of a
-family backend, computed in float64 and re-run at 40 digits when it is
-too close to zero.  Every zero of g' comes from _g_prime_root, one
-safeguarded Newton iteration whose slope g'' is the parameter-free
-proof-chain function.  At 40 digits the sign of min g needs no polished
-zero: g'' >= 2/45 on [0, 1), so at the float64 zero x64 of g'
+g' is strictly increasing from a-b-4/pi**2 (at 0+) to a-b-1/3 (at 1-), so
+g is monotone or has a unique interior minimum, and the signs of five
+quantities decide how many times g (hence f') crosses zero: g(0) =
+a+b-2/pi, g(1-) = 2a-1, g'(0), g'(1-) and, in the window
+1/3 < a-b < 4/pi**2 where g' changes sign, min g.  One sign reader serves
+both classifiers: _edge_signs and _min_g_sign compute each sign as one
+expression of a family backend, in float64, and re-run it at 40 digits
+when it is too close to zero.  classify_symbolic applies the closed-form
+region conditions to those signs in their published order, with a fixed
+float64 band derived in its docstring; classify_numeric reconstructs the
+class from them with a caller-chosen tol.  Every zero of g' comes from
+_g_prime_root, one safeguarded Newton iteration whose slope g'' is the
+parameter-free proof-chain function.  At 40 digits the sign of min g
+needs no polished zero: g'' >= 2/45 on [0, 1), so at the float64 zero x64
+of g'
 
     g(x64) - g'(x64)**2 * 45/4 <= min g <= g(x64),
 
 one g and one g' evaluation, decides every |min g| above about 5e-23.
 Only a narrower min g polishes the zero at 40 digits.
 
-The published strictly-increasing condition inside the window
-1/3 < a-b < 4/pi**2 is a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold
-only bounds the exact boundary from above: on a strip just below it min g
-is still positive and f is strictly increasing (for example
-(a, b) = (0.52, 0.13)), so the published max-then-min condition, read on
-its own, is too wide.  classify_symbolic therefore tests the window
-against the exact boundary exact_increasing_threshold(a-b) instead; the
-max-then-min branch is then only reached below that boundary, where the
-published condition is exact.  Within 1e-14 of the boundary, where float64
-s*(d) no longer resolves the sign of min g, classify_symbolic reads that
-sign from the same 40-digit enclosure.  increasing_threshold,
-in_max_then_min_region and family.g_min_lower_bound keep the published,
-merely sufficient, forms.
+The published strictly-increasing condition inside the window is
+a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold only bounds the exact
+boundary s*(a-b) = exact_increasing_threshold(a-b) from above: on a strip
+just below it min g = a+b - s*(a-b) is still positive and f is strictly
+increasing (for example (a, b) = (0.52, 0.13)), so the published
+max-then-min condition, read on its own, is too wide.  classify_symbolic
+therefore reads the sign of min g, which tests the exact boundary; the
+max-then-min branch is then only reached below it, where the published
+condition is exact.  increasing_threshold, in_max_then_min_region and
+family.g_min_lower_bound keep the published, merely sufficient, forms.
 """
 
 from __future__ import annotations
@@ -111,24 +112,9 @@ def exact_increasing_threshold(d: float) -> float:
     return -float(_g_min(p, _F64, _g_prime_zero64(p)))
 
 
-# band around s*(d) where classify_symbolic reads the sign of min g at 40
-# digits (see its docstring for the float64 error bound it covers)
-_S_STAR_ERR = 1e-14
-
-
 def in_window(p: Params) -> bool:
     """1/3 < a-b < 4/pi**2: g' changes sign, g has a unique interior minimum."""
     return ONE_THIRD < p.a - p.b < FOUR_OVER_PI_SQ
-
-
-def in_unique_max_region(p: Params) -> bool:
-    """Window plus 2/pi - b < a <= 1/2."""
-    return in_window(p) and TWO_OVER_PI - p.b < p.a <= 0.5
-
-
-def in_unique_min_region(p: Params) -> bool:
-    """Window plus 1/2 < a <= 2/pi - b."""
-    return in_window(p) and 0.5 < p.a <= TWO_OVER_PI - p.b
 
 
 def in_max_then_min_region(p: Params) -> bool:
@@ -143,64 +129,58 @@ def in_max_then_min_region(p: Params) -> bool:
     return TWO_OVER_PI < s < increasing_threshold(p.a - p.b) and p.a > 0.5
 
 
+# float64 error band of every sign classify_symbolic reads (see its docstring)
+_SIGN_BAND = 1e-14
+
+
 def classify_symbolic(p: Params) -> RegionClass:
     """First matching closed-form region condition, in published order.
 
-    Inside the window the strictly-increasing test uses the exact boundary
-    s*(d) = exact_increasing_threshold(d), d = a-b, in place of the
-    published threshold: min g = a+b - s*(a-b).  The float64 comparison of
-    a+b with s*(d) errs by less than 1.2e-15, with u = 2**-53:
+    Every condition is the sign of g(0), g(1-), g'(0), g'(1-) or, inside
+    the window, min g = a+b - s*(a-b), read by the same _edge_signs and
+    _min_g_sign as classify_numeric; min g tests the exact boundary s*(d)
+    in place of the published threshold.  Outside the window a unique max
+    or min, which no published condition covers there, is Indeterminate.
 
-    - s*(d) is -g at the float64 zero x64 of g' for (d/2, -d/2), whose a+b
-      is 0 and a-b is d, exactly.  Float64 g = d*x - r(x) there has r =
-      sqrt((1-x)(1+x)) / arccos x below 1.  The square root errs by 2.5u
-      relative; arccos_stable = 2 atan2(sqrt(1-x), sqrt(1+x)) by 3u from its
-      arguments (atan's condition number is at most 1) plus 2u for atan2,
-      taken to be correct to an ulp; the quotient by one more u: 8.5u in r.
-      d*x, below 0.41, and the difference, below 2/3, round once each:
-      under 10u = 1.1e-15 in all.  g(x64) exceeds min g by at most the
-      width of the enclosure in _g_min, about 5e-23.
-    - The rounded a+b and a-b err by half an ulp each, under 5.6e-17 and
-      2.8e-17, and |ds*/dd| = t < 1.
+    A sign is read in float64 when its value is at least _SIGN_BAND = 1e-14
+    in size and at 40 digits otherwise.  A float64 value has the wrong sign
+    only when it is smaller than its own error, which the band covers, with
+    u = 2**-53:
 
-    Within _S_STAR_ERR = 1e-14 of s*(d), over eight times that bound, the
-    float64 comparison decides nothing: the sign of min g is the 40-digit
-    one of _g_min, StrictlyIncreasing when positive, Indeterminate within
-    1e-30 of zero, and the published branches below s*(d) when negative.
+    - The edge values round a+b or a-b correctly, by under u|a+/-b|; the
+      constants 2.0/math.pi, 4.0/math.pi**2 and 1.0/3 are within 4e-17 of
+      their exact values; the final difference is exact (Sterbenz)
+      wherever it is small, and 2a-1 rounds once, keeping its sign.  A
+      value below 1e-14 in size errs by under 1.2e-16.
+    - min g is g at the float64 zero x64 of g', on p itself.  Float64
+      g = a+b + (a-b)*x - r(x) has r = sqrt((1-x)(1+x)) / arccos x below 1.
+      The square root errs by 2.5u relative; arccos_stable =
+      2 atan2(sqrt(1-x), sqrt(1+x)) by 3u from its arguments (atan's
+      condition number is at most 1) plus 2u for atan2, taken to be correct
+      to an ulp; the quotient by one more u: 8.5u in r.  Where |min g| is
+      below 1e-14, a+b is within that of s*(d) < 2/3; (a-b)*x, below 0.41,
+      rounds twice, a+b and their sum once each, and the difference is
+      exact: under 12u = 1.4e-15 in all.  g(x64) exceeds min g by under
+      2e-22 (x64 is within about 5e-11 of the zero, and g'' <= 0.12).
+
+    The band is over seven times the larger bound.  classify_numeric's tol
+    (1e-9 by default) would send far more inputs to 40 digits.
     """
-    a, b = p.a, p.b
-    s, d = a + b, a - b
-    if s <= TWO_OVER_PI and a <= 0.5:
+    s0, s1, lo, hi = _edge_signs(p, _SIGN_BAND)
+    if s0 <= 0 and s1 <= 0:
         return RegionClass.STRICTLY_DECREASING
-    if (s >= TWO_OVER_PI and d >= FOUR_OVER_PI_SQ) or (a >= 0.5 and d <= ONE_THIRD):
+    if (s0 >= 0 and lo >= 0) or (s1 >= 0 and hi <= 0):
         return RegionClass.STRICTLY_INCREASING
-    if in_window(p):
-        gap = s - exact_increasing_threshold(d)
-        if abs(gap) < _S_STAR_ERR:
-            gap = _sign_hp(lambda m: _g_min(p, m, _g_prime_zero64(p)))
-            if gap == 0:
-                return RegionClass.INDETERMINATE
-        if gap > 0:
-            return RegionClass.STRICTLY_INCREASING
-    if in_unique_max_region(p):
-        return RegionClass.UNIQUE_MAX
-    if in_unique_min_region(p):
-        return RegionClass.UNIQUE_MIN
-    if in_max_then_min_region(p):
-        return RegionClass.MAX_THEN_MIN
-    return RegionClass.INDETERMINATE
+    if lo >= 0 or hi <= 0:
+        return RegionClass.INDETERMINATE
+    return _window_class(_min_g_sign(p, _SIGN_BAND), s0, s1)
 
 
 def _sign_exact(expr, tol: float) -> int:
-    """Sign of expr(m) in float64; when below tol, _sign_hp(expr)."""
+    """Sign of expr(m) in float64; when below tol, of expr(m) at 40 digits (0 if still ~0)."""
     value = expr(_F64)
     if abs(value) >= tol:
         return -1 if value < 0.0 else 1
-    return _sign_hp(expr)
-
-
-def _sign_hp(expr) -> int:
-    """Sign of expr(_MP) in one 40-digit region; 0 within _HP_ZERO of zero."""
     with hp_context(40):
         v = expr(_MP)
         if v > _HP_ZERO:
@@ -210,12 +190,35 @@ def _sign_hp(expr) -> int:
     return 0
 
 
-def _window_signs(p: Params, tol: float) -> tuple[int, int]:
-    """Signs of g'(0) = a-b-4/pi**2 and g'(1-) = a-b-1/3: (-1, 1) in the window."""
+def _edge_signs(p: Params, tol: float) -> tuple[int, int, int, int]:
+    """Signs of g(0), g(1-), g'(0) and g'(1-); the last two are (-1, 1) in the window."""
     return (
+        _sign_exact(lambda m: family._g(m, p, 0), tol),
+        _sign_exact(lambda m: family._g_at_1(m, p), tol),
         _sign_exact(lambda m: family._g_prime(m, p, 0), tol),
         _sign_exact(lambda m: family._g_prime_at_1(m, p), tol),
     )
+
+
+def _min_g_sign(p: Params, tol: float) -> int:
+    """Sign of min g for p in the window, from _g_min at the float64 zero of g'."""
+    x64 = _g_prime_zero64(p)
+    return _sign_exact(lambda m: _g_min(p, m, x64), tol)
+
+
+def _window_class(sm: int, s0: int, s1: int) -> RegionClass:
+    """Class in the window from the signs of min g, g(0) and g(1-)."""
+    if sm == 0:
+        return RegionClass.INDETERMINATE
+    if sm > 0:
+        return RegionClass.STRICTLY_INCREASING
+    if s0 <= 0 and s1 <= 0:
+        return RegionClass.STRICTLY_DECREASING
+    if s1 <= 0:
+        return RegionClass.UNIQUE_MAX
+    if s0 <= 0:
+        return RegionClass.UNIQUE_MIN
+    return RegionClass.MAX_THEN_MIN
 
 
 # g'' falls from 0.12 at x = 0 to its limit 2/45 at 1-, its infimum on
@@ -257,7 +260,7 @@ def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None, x=None):
             lo = x
         else:
             hi = x
-        nx = x - slope / family.chain_eval("g_second", None, pt)
+        nx = x - slope / family.chain_eval("g_second", pt)
         if abs(nx - x) <= width:
             return nx
         if not lo < nx < hi:
@@ -352,9 +355,7 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
     """
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
-    s0 = _sign_exact(lambda m: family._g(m, p, 0), tol)
-    s1 = _sign_exact(lambda m: family._g_at_1(m, p), tol)
-    lo, hi = _window_signs(p, tol)
+    s0, s1, lo, hi = _edge_signs(p, tol)
     if lo >= 0:
         # g' > 0 on (0,1): g strictly increasing from a+b-2/pi to 2a-1
         if s0 >= 0:
@@ -369,19 +370,7 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
         if s1 >= 0:
             return RegionClass.STRICTLY_INCREASING
         return RegionClass.UNIQUE_MAX
-    x64 = _g_prime_zero64(p)
-    sm = _sign_exact(lambda m: _g_min(p, m, x64), max(tol, 1e-12))
-    if sm == 0:
-        return RegionClass.INDETERMINATE
-    if sm > 0:
-        return RegionClass.STRICTLY_INCREASING
-    if s0 <= 0 and s1 <= 0:
-        return RegionClass.STRICTLY_DECREASING
-    if s0 > 0 and s1 <= 0:
-        return RegionClass.UNIQUE_MAX
-    if s0 <= 0 and s1 > 0:
-        return RegionClass.UNIQUE_MIN
-    return RegionClass.MAX_THEN_MIN
+    return _window_class(_min_g_sign(p, max(tol, 1e-12)), s0, s1)
 
 
 def critical_point_g(p: Params, tol: float) -> float | None:
@@ -396,7 +385,7 @@ def critical_point_g(p: Params, tol: float) -> float | None:
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
-    lo_sign, hi_sign = _window_signs(p, tol)
+    _, _, lo_sign, hi_sign = _edge_signs(p, tol)
     if lo_sign >= 0 or hi_sign <= 0:
         return None
     if float(family.g_prime_eval(p, EvalPoint(tol))) >= 0.0:

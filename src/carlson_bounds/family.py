@@ -253,8 +253,8 @@ _CHAIN = {
 }
 
 
-def chain_eval(which: str, p: Params | None, pt: EvalPoint):
-    """Evaluate a proof-chain function on [0,1); p is accepted but unused.
+def chain_eval(which: str, pt: EvalPoint):
+    """Evaluate a parameter-free proof-chain function on [0,1).
 
     h(x)  = arccos(x)**2 + x*sqrt(1-x**2)*arccos x + 2x**2 - 2
     q(x)  = 3x*sqrt(1-x**2)/(1+2x**2) - arccos x
@@ -264,7 +264,7 @@ def chain_eval(which: str, p: Params | None, pt: EvalPoint):
     if which not in _CHAIN:
         raise ValueError(f"unknown chain function {which!r}; expected one of {CHAIN_SELECTORS}")
     expr, band = _CHAIN[which]
-    return _evaluate(pt, expr, p, include_zero=True, band=band)
+    return _evaluate(pt, expr, None, include_zero=True, band=band)
 
 
 # ---------------------------------------------------------------------------

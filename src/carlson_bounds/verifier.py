@@ -219,9 +219,9 @@ def check_sign_chain(n: int, digits: int | None = None) -> VerificationReport:
         digits = default_digits()
     top = 1.0 - 1e-8
     xs = [top * i / (n - 1) for i in range(n)]
-    qv = [float(family.chain_eval("q", None, EvalPoint(x))) for x in xs]
-    hv = [float(family.chain_eval("h", None, EvalPoint(x))) for x in xs]
-    gv = [float(family.chain_eval("g_second", None, EvalPoint(x))) for x in xs]
+    qv = [float(family.chain_eval("q", EvalPoint(x))) for x in xs]
+    hv = [float(family.chain_eval("h", EvalPoint(x))) for x in xs]
+    gv = [float(family.chain_eval("g_second", EvalPoint(x))) for x in xs]
     margins = []
     witnesses = []
 
@@ -236,8 +236,8 @@ def check_sign_chain(n: int, digits: int | None = None) -> VerificationReport:
     take("g''>0", gv)
     take("q increasing", [q2 - q1 for q1, q2 in zip(qv, qv[1:])])
     take("h decreasing", [h1 - h2 for h1, h2 in zip(hv, hv[1:])])
-    q_end = float(family.chain_eval("q", None, EvalPoint(1.0 - 1e-10, digits=digits)))
-    h_end = float(family.chain_eval("h", None, EvalPoint(1.0 - 1e-10, digits=digits)))
+    q_end = float(family.chain_eval("q", EvalPoint(1.0 - 1e-10, digits=digits)))
+    h_end = float(family.chain_eval("h", EvalPoint(1.0 - 1e-10, digits=digits)))
     take("q(1-) -> 0", [1e-4 - abs(q_end), -q_end])
     take("h(1-) -> 0", [1e-4 - h_end, h_end])
     return VerificationReport(

@@ -82,6 +82,33 @@ def test_validity_predicates():
     assert not thm2_mincoef(0.5, 0.14).is_valid
 
 
+def test_coefficient_validity_near_two_over_pi():
+    # a+b within 2 ulps of 2/pi: a float64 comparison of a+b with 2/pi
+    # cannot tell UniqueMax from UniqueMin here, so is_valid must read the
+    # exact sign of g(0) = a+b - 2/pi; the 50-digit regions need no solve
+    # (g(0) and g(1-) = 2a-1 of opposite signs force min g < 0 in the window)
+    rng = random.Random(2)
+    wrong = []
+    for _ in range(1000):
+        a = rng.uniform(0.45, 0.55)
+        with workdps(50):
+            b = float(2 / mp.pi - a)
+            am = mpf(a)
+        for k in range(-2, 3):
+            bk = b
+            for _ in range(abs(k)):
+                bk = math.nextafter(bk, math.copysign(math.inf, k))
+            with workdps(50):
+                s, d = am + bk, am - bk
+                window = mpf(1) / 3 < d < 4 / mp.pi**2
+                g0_pos = s > 2 / mp.pi
+            if thm2_maxcoef(a, bk).is_valid and not (window and g0_pos and a <= 0.5):
+                wrong.append(("thm2_maxcoef", a, bk))
+            if thm2_mincoef(a, bk).is_valid and not (window and not g0_pos and a > 0.5):
+                wrong.append(("thm2_mincoef", a, bk))
+    assert not wrong, (len(wrong), wrong[:5])
+
+
 def test_family_bounds_rejects_invalid_family_and_domain():
     with pytest.raises(ValueError):
         family_bounds(thm2(0.1), 0.5)

@@ -321,13 +321,33 @@ def test_max_then_min_condition_over_covers():
     assert float(g_eval(p, EvalPoint(x0, digits=40))) > 0
 
 
+def _ulps(x, k):
+    """x moved k ulps, towards +inf when k > 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
 def test_symbolic_numeric_disagreements_only_in_documented_strip():
     # the symbolic classifier tests the exact increasing boundary, so no
-    # determinate symbolic class may contradict the numeric one
+    # determinate symbolic class may contradict the numeric one; both read
+    # the same exact signs, so neither may a float64 comparison of a+b or
+    # a-b with 2/pi, 1/3 or 4/pi**2, or of a with 1/2, decide one
     rng = random.Random(99)
+    points = [(rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2)) for _ in range(400)]
+    with workdps(50):
+        # b the double nearest 2/pi - a, so a+b is within an ulp of 2/pi
+        points += [(a, float(2 / mp.pi - a)) for a in (rng.uniform(0.2, 0.45) for _ in range(1000))]
+        # a-b within 3 ulps of 1/3 and of 4/pi**2
+        for d in (mpf(1) / 3, 4 / mp.pi**2):
+            for a in (rng.uniform(0.3, 0.7) for _ in range(100)):
+                points += [(a, _ulps(float(a - d), k)) for k in range(-3, 4)]
+    # a within 3 ulps of 1/2
+    for b in (rng.uniform(0.05, 0.2) for _ in range(100)):
+        points += [(_ulps(0.5, k), b) for k in range(-3, 4)]
     mismatches = []
-    for _ in range(400):
-        p = Params(rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2))
+    for a, b in points:
+        p = Params(a, b)
         sym = classify_symbolic(p)
         if sym is IND:
             continue
@@ -372,7 +392,7 @@ def test_g_second_falls_to_its_infimum():
     from carlson_bounds.family import chain_eval
 
     xs = [i / 100 for i in range(100)] + [1 - 10.0**-k for k in range(3, 10)]
-    vals = [chain_eval("g_second", None, EvalPoint(x, digits=40)) for x in xs]
+    vals = [chain_eval("g_second", EvalPoint(x, digits=40)) for x in xs]
     assert all(u > v for u, v in zip(vals, vals[1:]))
     assert 0 < vals[-1] - _G2_INF < 1e-8
 

@@ -57,15 +57,27 @@ def test_classify_unique_max_with_extrema(capsys):
     assert data["extrema"]["max_coeff"] is not None
 
 
-def test_classify_conflict_exits_2(capsys):
-    # a+b rounds onto the double nearest 2/pi, which lies above 2/pi: the
-    # float64 closed form sees a+b <= 2/pi (strictly decreasing) while the
-    # 40-digit signs see g(0) > 0 = g(1-) (unique max); the CLI reports the
-    # conflict through the exit code
+def test_classify_near_two_over_pi_agrees(capsys):
+    # a+b rounds onto the double nearest 2/pi, yet the exact a+b lies
+    # 3.9e-17 above 2/pi: g(0) > 0 = g(1-), a unique max.  Both classes read
+    # the same exact signs, so a float64 comparison with 2/pi cannot flip it
     code, out = run_main(capsys, "classify", "--a", "0.5", "--b", "0.13661977236758138")
     data = json.loads(out)
-    assert data["symbolic_class"] == "StrictlyDecreasing"
+    assert data["symbolic_class"] == "UniqueMax"
     assert data["numeric_class"] == "UniqueMax"
+    assert code == EXIT_OK
+
+
+def test_classify_conflict_exits_2(capsys, monkeypatch):
+    # a determinate symbolic class that contradicts the numeric one is
+    # reported through the exit code
+    from carlson_bounds import classifier
+
+    monkeypatch.setattr(classifier, "classify_numeric", lambda p, tol: classifier.RegionClass.UNIQUE_MIN)
+    code, out = run_main(capsys, "classify", "--a", "0.5", "--b", "0.14")
+    data = json.loads(out)
+    assert data["symbolic_class"] == "UniqueMax"
+    assert data["numeric_class"] == "UniqueMin"
     assert code == EXIT_VERIFY
 
 

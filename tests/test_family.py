@@ -133,31 +133,31 @@ def test_g_prime_float64_promotes_near_one():
 
 
 def test_chain_trivials():
-    assert chain_eval("q", None, EvalPoint(0.0)) == -math.pi / 2
-    h0 = chain_eval("h", None, EvalPoint(0.0))
+    assert chain_eval("q", EvalPoint(0.0)) == -math.pi / 2
+    h0 = chain_eval("h", EvalPoint(0.0))
     assert h0 == pytest.approx(math.pi**2 / 4 - 2.0, rel=1e-14)
     assert h0 > 0
-    assert chain_eval("g_second", None, EvalPoint(0.0)) > 0
+    assert chain_eval("g_second", EvalPoint(0.0)) > 0
 
 
 def test_chain_big_g_vanishes_at_one():
-    v = chain_eval("big_g", None, hp_pt(1.0 - 1e-10))
+    v = chain_eval("big_g", hp_pt(1.0 - 1e-10))
     assert abs(float(v)) < 1e-4
     assert float(v) < 0  # G < 0 on (0,1)
 
 
 def test_chain_rejects_unknown_selector():
     with pytest.raises(ValueError):
-        chain_eval("nope", None, EvalPoint(0.5))
+        chain_eval("nope", EvalPoint(0.5))
     assert set(CHAIN_SELECTORS) == {"h", "q", "g_second", "big_g"}
 
 
 def test_sign_chain_on_grid():
     n = 1000
     xs = [(1.0 - 1e-6) * i / (n - 1) for i in range(n)]
-    qv = [float(chain_eval("q", None, EvalPoint(x))) for x in xs]
-    hv = [float(chain_eval("h", None, EvalPoint(x))) for x in xs]
-    gv = [float(chain_eval("g_second", None, EvalPoint(x))) for x in xs]
+    qv = [float(chain_eval("q", EvalPoint(x))) for x in xs]
+    hv = [float(chain_eval("h", EvalPoint(x))) for x in xs]
+    gv = [float(chain_eval("g_second", EvalPoint(x))) for x in xs]
     assert all(q < 0 for q in qv)
     assert all(h > 0 for h in hv)
     assert all(g > 0 for g in gv)
@@ -291,7 +291,7 @@ def test_derivative_factorizations():
         for _ in range(1000):
             x = mpf(rng.uniform(0.05, 0.95))
             # F' = (1+sqrt(2(x+1))) * sqrt(1-x**2) / ((1+x)(x-1)**2) * G(x)
-            kernel = chain_eval("big_g", None, hp_pt(x))
+            kernel = chain_eval("big_g", hp_pt(x))
             pref = (1 + mp.sqrt(2 * (x + 1))) * mp.sqrt((1 - x) * (1 + x)) / ((1 + x) * (x - 1) ** 2)
             analytic = pref * kernel
             fd = _fd(lambda t: big_f_eval(hp_pt(t)), x)
@@ -323,10 +323,10 @@ _EVALUATORS = {
     "f": (lambda pt: f_eval(_P, pt), ENDPOINT_PROMOTE, None),
     "g": (lambda pt: g_eval(_P, pt), ENDPOINT_PROMOTE, None),
     "g_prime": (lambda pt: g_prime_eval(_P, pt), GPRIME_PROMOTE, _g_prime_terms),
-    "h": (lambda pt: chain_eval("h", None, pt), CHAIN_PROMOTE, None),
-    "q": (lambda pt: chain_eval("q", None, pt), CHAIN_PROMOTE, None),
-    "g_second": (lambda pt: chain_eval("g_second", None, pt), CHAIN_PROMOTE, _g_second_terms),
-    "big_g": (lambda pt: chain_eval("big_g", None, pt), ENDPOINT_PROMOTE, None),
+    "h": (lambda pt: chain_eval("h", pt), CHAIN_PROMOTE, None),
+    "q": (lambda pt: chain_eval("q", pt), CHAIN_PROMOTE, None),
+    "g_second": (lambda pt: chain_eval("g_second", pt), CHAIN_PROMOTE, _g_second_terms),
+    "big_g": (lambda pt: chain_eval("big_g", pt), ENDPOINT_PROMOTE, None),
     "envelope": (lambda pt: envelope_eval(_P, pt), ENDPOINT_PROMOTE, None),
     "big_f": (lambda pt: big_f_eval(pt), ENDPOINT_PROMOTE, None),
 }
