@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_add, mpf_shift, mpf_sub, round_nearest, to_float
 
 from . import classifier, family
 from .classifier import TWO_OVER_PI
 from .family import _MP, TWO_SQRT2, Params
-from .oracle import DEFAULT_DIGITS, arccos_hp, const_hp, default_digits
+from .oracle import DEFAULT_DIGITS, _check_digits, arccos_hp, const_hp, default_digits
 
 ONE_SIXTH = 1.0 / 6.0
 B_STAR = TWO_OVER_PI - 0.5  # sharp reversed-family threshold 2/pi - 1/2
@@ -397,6 +398,30 @@ def approx_arccos(x: float, enabled=None) -> tuple[float, float]:
 TABLE_COLUMNS = ("x", "lower", "upper", "reference", "width", "lower_family", "upper_family")
 
 
+# digits of the first, cheaper oracle call behind a table reference
+_FIRST_DIGITS = 30
+
+
+def _reference(x: float, digits: int) -> float:
+    """arccos x at `digits`, rounded to the nearest double.
+
+    Above _FIRST_DIGITS the oracle is first asked for 30 digits, v.  Its
+    contract bounds the relative error by 10**(1-digits), so with
+    T = arccos x > 0, |v - T| <= 1e-29*T and the `digits` value A obeys
+    |A - T| <= 1e-30*T, hence |A - v| <= 1.1e-29*T < r = v*2**-95.  Round to
+    nearest is monotone, so when v - r and v + r (computed exactly) round to
+    the same double, A rounds to it as well; only otherwise is the oracle
+    called at `digits`.
+    """
+    if digits > _FIRST_DIGITS:
+        v = arccos_hp(x, _FIRST_DIGITS).value._mpf_
+        r = mpf_shift(v, -95)
+        lo = to_float(mpf_sub(v, r), rnd=round_nearest)
+        if lo == to_float(mpf_add(v, r), rnd=round_nearest):
+            return lo
+    return float(arccos_hp(x, digits).value)
+
+
 def bound_table(x_grid, enabled=None, digits: int | None = None) -> list[dict]:
     """One row per grid point: certified bounds plus a high-precision reference.
 
@@ -410,20 +435,22 @@ def bound_table(x_grid, enabled=None, digits: int | None = None) -> list[dict]:
         raise ValueError("grid points must lie in (0,1)")
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError("grid must be strictly increasing")
+    fams = DEFAULT_FAMILIES if enabled is None else _validated(enabled)
+    _check_digits(digits)
     rows = []
     for x in xs:
-        env = best_envelope(x, enabled)
-        if env.lower is None or env.upper is None:
+        lower, upper, lower_family, upper_family = _envelope(x, fams)
+        if lower is None or upper is None:
             raise ValueError("enabled families give no two-sided interval")
         rows.append(
             {
                 "x": x,
-                "lower": env.lower,
-                "upper": env.upper,
-                "reference": float(arccos_hp(x, digits).value),
-                "width": env.upper - env.lower,
-                "lower_family": env.lower_family,
-                "upper_family": env.upper_family,
+                "lower": lower,
+                "upper": upper,
+                "reference": _reference(x, digits),
+                "width": upper - lower,
+                "lower_family": lower_family,
+                "upper_family": upper_family,
             }
         )
     return rows

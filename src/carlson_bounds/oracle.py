@@ -19,6 +19,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import (
+    dps_to_prec,
+    from_float,
+    mpf_abs,
+    mpf_acos,
+    mpf_div,
+    mpf_sub,
+    pi_fixed,
+    round_nearest,
+    to_float,
+)
 
 MIN_DIGITS = 17
 MAX_DIGITS = 200
@@ -65,14 +76,29 @@ def _check_digits(digits: int) -> None:
 
 
 # mpmath's default context is process-global, so concurrent callers at mixed
-# precisions would corrupt each other's working precision; all high-precision
-# regions in this package serialize on one reentrant lock
+# precisions would corrupt each other's working precision.  The regions that
+# use operator arithmetic at the global precision (const_hp and the family,
+# classifier and verifier regions) serialize on one reentrant lock;
+# arccos_hp and ulp_distance pass their precision to libmp explicitly and
+# take neither the lock nor the global precision.
 _MP_LOCK = threading.RLock()
+
+# libmp memoizes pi as one fixed-point value and replaces it, unlocked, when a
+# caller needs more bits; a reader in another thread can then pair the old
+# bit count with the new value.  acos needs pi (directly near -1, and through
+# the atan tables) at no more than about 2,100 bits for inputs rounded to the
+# MAX_DIGITS working precision, so filling the memo past that once here means
+# the lock-free calls only ever read it.
+pi_fixed(2200)
 
 
 @contextmanager
 def hp_context(digits: int):
-    """Guarded working precision: digits plus guard, exclusive context access."""
+    """Guarded global working precision (digits plus guard) under _MP_LOCK.
+
+    For the regions that compute with mpf operators at mp.prec; arccos_hp
+    and ulp_distance do not use it.
+    """
     with _MP_LOCK:
         with workdps(digits + GUARD_DIGITS):
             yield
@@ -98,16 +124,23 @@ def arccos_hp(x, digits: int | None = None) -> HPValue:
     """arccos x with relative error at most 10**(1-digits).
 
     x may be a float, an mpf, or a decimal string (strings let callers state
-    points like 1 - 1e-30 that no float can represent).
+    points like 1 - 1e-30 that no float can represent).  The value is
+    computed at digits + GUARD_DIGITS with the precision passed explicitly,
+    so it neither reads nor sets mpmath's global precision and takes no lock.
     """
     if digits is None:
         digits = default_digits()
     _check_digits(digits)
-    with hp_context(digits):
-        xm = mpf(x)
-        if abs(xm) > 1:
+    prec = dps_to_prec(digits + GUARD_DIGITS)
+    if isinstance(x, float):
+        if not -1.0 <= x <= 1.0:
             raise ValueError(f"arccos domain is [-1, 1], got {x}")
-        return HPValue(digits, acos_mp(xm))
+        return HPValue(digits, mp.make_mpf(mpf_acos(from_float(x), prec, round_nearest)))
+    xm = mpf(x, prec=prec, rounding="n")
+    # exact comparisons, which NaN fails
+    if not -1 <= xm <= 1:
+        raise ValueError(f"arccos domain is [-1, 1], got {x}")
+    return HPValue(digits, mp.acos(xm, prec=prec, rounding="n"))
 
 
 def arccos_stable(x: float) -> float:
@@ -153,5 +186,8 @@ def ulp_distance(value: float, reference: HPValue) -> float:
     """|value - reference| measured in ulps of the double nearest the reference."""
     ref_d = float(reference.value)
     unit = math.ulp(abs(ref_d)) if ref_d != 0.0 else math.ulp(0.0)
-    with hp_context(reference.digits):
-        return float(abs(mpf(value) - reference.value) / mpf(unit))
+    # the reference's working precision, passed to libmp explicitly
+    prec = dps_to_prec(reference.digits + GUARD_DIGITS)
+    diff = mpf_sub(from_float(value), reference.value._mpf_, prec, round_nearest)
+    ratio = mpf_div(mpf_abs(diff, prec, round_nearest), from_float(unit), prec, round_nearest)
+    return to_float(ratio, rnd=round_nearest)

@@ -29,9 +29,9 @@ from carlson_bounds.bounds import (
     thm2_reversed,
     thm3,
 )
-from carlson_bounds import family
+from carlson_bounds import bounds, family
 from carlson_bounds.family import Params
-from carlson_bounds.oracle import acos_mp, arccos_stable
+from carlson_bounds.oracle import HPValue, acos_mp, arccos_hp, arccos_stable
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +406,82 @@ def test_bound_table_single_point_single_family():
     assert len(rows) == 1
     assert rows[0]["lower"] < rows[0]["reference"] < rows[0]["upper"]
     assert rows[0]["lower_family"] == "carlson"
+
+
+# ulp ladders at 0 and at 1, and the CLI's --grid 1000 points i/1001
+_REFERENCE_GRID = sorted(
+    [k * 2.0**-1074 for k in range(1, 21)]
+    + [1.0 - k * 2.0**-53 for k in range(1, 21)]
+    + [i / 1001 for i in range(1, 1001)]
+)
+
+
+@pytest.mark.parametrize("digits", [17, 29, 30, 31, 40, 100, 200])
+def test_bound_table_reference_is_the_oracle_at_digits(digits):
+    rows = bound_table(_REFERENCE_GRID, None, digits)
+    for x, row in zip(_REFERENCE_GRID, rows):
+        assert row["reference"] == float(arccos_hp(x, digits).value), (x, digits)
+
+
+def test_bound_table_reference_above_30_digits_needs_one_oracle_call(monkeypatch):
+    seen = []
+
+    def counting(x, digits):
+        seen.append(digits)
+        return arccos_hp(x, digits)
+
+    monkeypatch.setattr(bounds, "arccos_hp", counting)
+    bound_table([i / 25 for i in range(1, 25)], None, 120)
+    assert seen == [30] * 24
+
+
+def test_bound_table_reference_falls_back_off_a_midpoint(monkeypatch):
+    # a 30-digit value on the midpoint between two doubles cannot fix the
+    # double, so the oracle is asked again at the requested digits
+    x, digits = 0.5, 60
+    below = 1.0471975511965976
+    above = math.nextafter(below, 2.0)
+    with workdps(60):
+        midpoint = (mpf(below) + mpf(above)) / 2
+    seen = []
+
+    def fake(x_arg, digits_arg):
+        seen.append((x_arg, digits_arg))
+        return HPValue(digits_arg, midpoint if digits_arg == 30 else mpf(above))
+
+    monkeypatch.setattr(bounds, "arccos_hp", fake)
+    rows = bound_table([x], None, digits)
+    assert seen == [(x, 30), (x, digits)]
+    assert rows[0]["reference"] == above
+
+
+def test_bound_table_validates_enabled_once(monkeypatch):
+    calls = []
+    real = bounds._validated
+
+    def counting(fams):
+        calls.append(fams)
+        return real(fams)
+
+    monkeypatch.setattr(bounds, "_validated", counting)
+    # a one-shot iterator serves every row
+    rows = bound_table([0.25, 0.5, 0.75], enabled=iter((carlson(), thm3())))
+    assert len(calls) == 1
+    assert rows == bound_table([0.25, 0.5, 0.75], enabled=(carlson(), thm3()))
+
+
+def test_bound_table_rejects_bad_families_and_digits_before_any_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(bounds, "_envelope", no_rows)
+    monkeypatch.setattr(bounds, "arccos_hp", no_rows)
+    with pytest.raises(ValueError, match="enabled family set is empty"):
+        bound_table([0.25, 0.5], enabled=())
+    with pytest.raises(ValueError, match=r"family thm2\(0\.1\) is outside its validity region"):
+        bound_table([0.25, 0.5], enabled=(carlson(), thm2(0.1)))
+    with pytest.raises(ValueError, match=r"precision must be in \[17, 200\] digits, got 500"):
+        bound_table([0.25, 0.5], None, 500)
 
 
 def test_envelope_deep_endpoints_still_contain():

@@ -1,11 +1,14 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
+from carlson_bounds.bounds import bound_table
 from carlson_bounds.oracle import (
     CONSTANT_NAMES,
     GUARD_DIGITS,
@@ -59,6 +62,27 @@ def test_arccos_hp_domain_and_precision_errors():
         arccos_hp(0.5, 16)
     with pytest.raises(ValueError):
         arccos_hp(0.5, 500)
+
+
+@pytest.mark.parametrize(
+    "x", [math.nan, math.inf, -math.inf, "nan", "inf", "-inf", mpf("nan"), mpf("-inf")]
+)
+def test_arccos_hp_rejects_nan_and_infinities(x):
+    with pytest.raises(ValueError, match=r"arccos domain is \[-1, 1\]"):
+        arccos_hp(x, 40)
+
+
+def test_arccos_hp_works_at_its_own_precision():
+    # the result depends on digits alone, not on mpmath's global precision,
+    # and the call leaves that precision as it found it
+    x_mp = mpf(0.3)
+    want = {d: arccos_hp("0.3", d).value for d in (20, 60)}
+    for dps in (5, 300):
+        with workdps(dps):
+            for d in (20, 60):
+                assert arccos_hp("0.3", d).value == want[d]
+                assert arccos_hp(0.3, d).value == arccos_hp(x_mp, d).value
+            assert mp.dps == dps
 
 
 def test_default_digits_env_values(monkeypatch):
@@ -156,6 +180,55 @@ def test_concurrent_mixed_precision_callers():
         for digits, values in results:
             worst = max(float(abs(v - ref) / ref) for v, ref in zip(values, refs * 30))
             assert worst < 10.0 ** (1 - digits), (digits, worst)
+
+
+def test_oracle_and_table_ignore_precision_set_by_another_thread():
+    # another thread sets mpmath's global precision in a loop while this one
+    # calls arccos_hp and bound_table; every value must be bit-identical to
+    # the values computed with no other thread running
+    xs = [(i + 1) / 41 for i in range(40)]
+
+    def compute():
+        hp = [arccos_hp(x, d).value for d in (40, 100) for x in xs]
+        return hp, [bound_table(xs, None, d) for d in (40, 100)]
+
+    want = compute()
+    stop = threading.Event()
+
+    def meddle():
+        saved = mp.prec
+        try:
+            while not stop.is_set():
+                for dps in (5, 15, 300):
+                    mp.dps = dps
+        finally:
+            mp.prec = saved
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    meddler = threading.Thread(target=meddle, daemon=True)
+    meddler.start()
+    try:
+        got = [compute() for _ in range(80)]
+    finally:
+        stop.set()
+        meddler.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not meddler.is_alive()
+    assert sum(g != want for g in got) == 0
+
+
+def test_ulp_distance_matches_global_precision_arithmetic():
+    # the explicit-precision libmp form gives the bits of the operator form
+    rng = random.Random(7)
+    for _ in range(300):
+        x = rng.uniform(-1.0, 1.0)
+        ref = arccos_hp(x, rng.choice((17, 30, 64)))
+        for value in (arccos_stable(x), float(ref), math.nextafter(float(ref), 0.0), 0.0):
+            unit = math.ulp(float(ref.value))
+            with workdps(ref.digits + GUARD_DIGITS):
+                want = float(abs(mpf(value) - ref.value) / mpf(unit))
+            assert ulp_distance(value, ref) == want
 
 
 def test_arccos_stable_ulp_agreement_bulk():
