@@ -11,6 +11,14 @@ lower(x) < arccos x < upper(x) on (0,1):
 plus the one-sided coefficient bounds thm2_maxcoef(a,b) (upper only) and
 thm2_mincoef(a,b) (lower only) built from the envelope extremum.
 
+Each family is written once, in this square-root/power form, over a backend
+(family._F64 or family._MP): pair_f64 and pair_mp run the same expressions
+on the terms 1-x, 1+x, sqrt(1-x) and sqrt(1-x)/(2*sqrt(2)+sqrt(1+x)), which
+are computed once per point.  Against 60 digits the float64 kernels err by
+about 2 eps at most for small |b| (2.2 eps for the default families, 2.8 eps
+for thm2(3)); the rounding of 1+x, raised to the power b, adds up to |b|/2
+eps (51 eps for thm2(100)).
+
 best_envelope intersects the enabled families.  Doubles handed back by the
 certified paths are rounded outward (lower down, upper up) by a few ulp so
 the interval still contains arccos x after float64 evaluation error.
@@ -23,24 +31,32 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_add, mpf_shift, mpf_sub, round_nearest, to_float
 
 from . import classifier, family
 from .classifier import TWO_OVER_PI
-from .family import _MP, TWO_SQRT2, Params
+from .family import _F64, _MP, TWO_SQRT2, Params
 from .oracle import DEFAULT_DIGITS, _check_digits, arccos_hp, const_hp, default_digits
 
 ONE_SIXTH = 1.0 / 6.0
 B_STAR = TWO_OVER_PI - 0.5  # sharp reversed-family threshold 2/pi - 1/2
-PI_HALF = math.pi / 2.0
 CBRT4 = float(const_hp("CBRT4", DEFAULT_DIGITS))
 BEST_UPPER_THM3 = float(const_hp("BEST_UPPER_THM3", DEFAULT_DIGITS))
 
-# outward-rounding factor: 16 eps covers the few-ulp forward error of the
-# family expressions, preserving containment through float64 evaluation
+# outward-rounding factor for the float64 kernels.  Each is a product and
+# quotient of correctly rounded sqrt, mul and div (u/2 each, u = eps), libm
+# pow (taken as under 1 ulp), a per-family constant, 1 - x (exact for
+# x >= 1/2 by Sterbenz, else u/2, halved again by sqrt) and 1 + x, whose u/2
+# rounding the power raises to |b|*u/2: about 3.5u + (|a|+|b|)*u/2 to first
+# order, plus the constant's error.  Measured against 60 digits that is
+# 2.2 eps for the default families and 2.8 eps for thm2(3).  For large |b|
+# the bounds are loose except as x -> 0 and x -> 1, where their gap to
+# arccos grows with |b| as fast as the rounding of 1 + x
+# (test_large_b_families_contain_arccos_near_the_endpoints); a derivation
+# of 16 eps for every family the API accepts is still open
 _OUT = 16.0 * math.ulp(1.0)
 _LO_OUT = 1.0 - _OUT
 _UP_OUT = 1.0 + _OUT
@@ -58,6 +74,14 @@ class BoundFamily:
     kind: str
     b: float | None = None
     a: float | None = None
+
+    def __post_init__(self) -> None:
+        # |b| < 1023 keeps 2**(b+1/2) and (1+x)**b, 1+x in [1, 2), finite
+        # and non-zero in float64
+        if self.b is not None and not abs(self.b) < 1023.0:
+            raise ValueError(f"{self.kind}: b must be finite with |b| < 1023, got {self.b}")
+        if self.a is not None and not math.isfinite(self.a):
+            raise ValueError(f"{self.kind}: a must be finite, got {self.a}")
 
     def __reduce__(self):
         # rebuild from the fields: the cached float64 kernel is a closure
@@ -106,115 +130,73 @@ class BoundFamily:
 
     @cached_property
     def _kernel(self):
-        """float64 (lower, upper) from the _shared_terms of x.
-
-        Per-family constants (2**(b+1/2), the envelope coefficient) are
-        computed once, on first use.
-        """
-        if self.kind == "carlson":
-            return lambda l1m, l1p, base: (
-                6.0 * base,
-                CBRT4 * math.exp(0.5 * l1m - l1p / 6.0),
-            )
-        if self.kind == "thm3":
-            return lambda l1m, l1p, base: (6.0 * base, BEST_UPPER_THM3 * base)
-        a, b = self.a, self.b
-        if self.kind in ("thm2", "thm2_reversed"):
-            top = math.pow(2.0, b + 0.5)
-            lo_c, up_c = (PI_HALF, top) if self.kind == "thm2" else (top, PI_HALF)
-
-            def weighted(l1m, l1p, base):
-                w = math.exp(0.5 * l1m - b * l1p)
-                return lo_c * w, up_c * w
-
-            return weighted
-        rep = classifier.extrema_points(Params(a, b))
-        upper_only = self.kind == "thm2_maxcoef"
-        coef = rep.max_coeff if upper_only else rep.min_coeff
-
-        def one_sided(l1m, l1p, base):
-            if coef is None:
-                raise self._no_extremum()
-            w = math.exp(a * l1m - b * l1p)
-            return (None, coef * w) if upper_only else (coef * w, None)
-
-        return one_sided
+        """The float64 kernel; its per-family constants are computed on first use."""
+        return self._build_kernel(_F64)
 
     def pair_mp(self, x: mpf) -> tuple[mpf | None, mpf | None]:
         """Same expressions in mpmath arithmetic at the caller's precision."""
-        return self._kernel_mp()(x, *_shared_terms_mp(x))
+        return self._kernel_mp()(*_shared_terms_mp(x))
 
     def _kernel_mp(self):
-        """mpmath (lower, upper) from x and the _shared_terms_mp of x.
+        """The mpmath kernel, with the family's constants at the working precision.
 
-        The kernel holds the family's constants (cbrt(4), 2*sqrt(2), pi/2,
-        2**(b+1/2), the envelope coefficient) computed at the working
-        precision mp.prec.  Only the latest precision's kernel is kept; it is
-        rebuilt when mp.prec changes, so every value matches the expression
-        evaluated from scratch at that precision to the last bit.
+        Only the latest precision's kernel is kept; it is rebuilt when mp.prec
+        changes, so every value matches the expression evaluated from scratch
+        at that precision to the last bit.
         """
         slot = self.__dict__.get("_mp_slot")
         if slot is None or slot[0] != mp.prec:
             # written past the frozen dataclass, as cached_property does
-            slot = self.__dict__["_mp_slot"] = (mp.prec, self._build_kernel_mp())
+            slot = self.__dict__["_mp_slot"] = (mp.prec, self._build_kernel(_MP))
         return slot[1]
 
-    def _build_kernel_mp(self):
-        # the four double inequalities keep a sqrt/pow form of their own: the
-        # float64 kernel's log1p/exp form is no faster in mpmath, and it would
-        # change the last bits of every high-precision bound they give
-        one = mpf(1)
-        if self.kind in ("carlson", "thm3"):
-            two_sqrt2 = 2 * mp.sqrt(2)
-            if self.kind == "carlson":
-                cbrt4, sixth = mp.cbrt(4), one / 6
+    def _build_kernel(self, m):
+        """(lower, upper) from the shared terms of x, in backend m (_F64 or _MP).
 
-                def carlson_mp(x, s1m, s1p):
-                    return 6 * (s1m / (two_sqrt2 + s1p)), cbrt4 * s1m / (1 + x) ** sixth
-
-                return carlson_mp
-            top = (one / 2 + mp.sqrt(2)) * mp.pi
-
-            def thm3_mp(x, s1m, s1p):
-                base = s1m / (two_sqrt2 + s1p)
-                return 6 * base, top * base
-
-            return thm3_mp
+        The family's constants (cbrt(4), (1/2+sqrt(2))*pi, pi/2, 2**(b+1/2),
+        the envelope coefficient) are computed here, once per kernel.
+        """
+        one = m.num(1.0)
+        if self.kind == "carlson":
+            cbrt4, sixth = CBRT4 if m is _F64 else mp.cbrt(4), one / 6
+            return lambda onem, onep, s1m, base: (6 * base, cbrt4 * s1m / onep**sixth)
+        if self.kind == "thm3":
+            top = BEST_UPPER_THM3 if m is _F64 else (one / 2 + mp.sqrt(2)) * mp.pi
+            return lambda onem, onep, s1m, base: (6 * base, top * base)
+        b = m.num(self.b)
         if self.kind in ("thm2", "thm2_reversed"):
-            b = mpf(self.b)
-            pi_half, top = mp.pi / 2, 2 ** (b + one / 2)
+            pi_half, top = m.pi / 2, 2 ** (b + one / 2)
             lo_c, up_c = (pi_half, top) if self.kind == "thm2" else (top, pi_half)
 
-            def weighted(x, s1m, s1p):
-                w = s1m / (1 + x) ** b
+            def weighted(onem, onep, s1m, base):
+                w = s1m / onep**b
                 return lo_c * w, up_c * w
 
             return weighted
-        p = Params(self.a, self.b)
         upper_only = self.kind == "thm2_maxcoef"
-        if p.a == p.b:
-            # the quadratic is linear, with the one root a+b, an envelope
-            # maximum when positive (see extrema_points)
-            root = mpf(p.a) + mpf(p.b) if upper_only else None
-        else:
-            disc = family._envelope_disc(_MP, p)
-            root = family._envelope_roots(_MP, p, disc)[0 if upper_only else 1] if disc > 0 else None
-        # outside (0,1) the envelope has no value (at x = 1 the log form
-        # gives 0*log(0)), so raise as pair_f64 does
-        if root is None or not 0 < root < 1:
-            raise self._no_extremum()
-        coef = family._envelope(_MP, p, root)
-        a, b = mpf(p.a), mpf(p.b)
+        coef, a = self._coefficient(m, upper_only), m.num(self.a)
 
-        def one_sided(x, s1m, s1p):
-            w = (1 - x) ** a / (1 + x) ** b
+        def one_sided(onem, onep, s1m, base):
+            w = onem**a / onep**b
             return (None, coef * w) if upper_only else (coef * w, None)
 
         return one_sided
 
-    def _no_extremum(self) -> ValueError:
-        side = "maximum" if self.kind == "thm2_maxcoef" else "minimum"
-        return ValueError(f"{self.id}: envelope {side} not inside (0,1)")
+    def _coefficient(self, m, upper_only: bool):
+        """The envelope's value at its interior maximum (upper_only) or minimum."""
+        p = Params(self.a, self.b)
+        if p.a == p.b:
+            # the quadratic is linear, with the one root a+b, an envelope
+            # maximum when positive (see extrema_points)
+            root = m.num(p.a) + m.num(p.b) if upper_only else None
+        else:
+            disc = family._envelope_disc(m, p)
+            root = family._envelope_roots(m, p, disc)[0 if upper_only else 1] if disc > 0 else None
+        # outside (0,1) the envelope has no value (at x = 1 it is 0*log(0))
+        if root is None or not 0 < root < 1:
+            side = "maximum" if upper_only else "minimum"
+            raise ValueError(f"{self.id}: envelope {side} not inside (0,1)")
+        return family._envelope(m, p, root)
 
 
 def carlson() -> BoundFamily:
@@ -280,24 +262,30 @@ def parse_family(text: str) -> BoundFamily:
     raise ValueError(f"unrecognized bound family {text!r}")
 
 
-def _shared_terms(x: float) -> tuple[float, float, float]:
-    """log1p(-x), log1p(x) and sqrt(1-x)/(2*sqrt(2)+sqrt(1+x)): what every family needs."""
-    return (
-        math.log1p(-x),
-        math.log1p(x),
-        math.sqrt(1.0 - x) / (TWO_SQRT2 + math.sqrt(1.0 + x)),
-    )
+def _shared_terms(x: float) -> tuple[float, float, float, float]:
+    """1-x, 1+x, sqrt(1-x) and sqrt(1-x)/(2*sqrt(2)+sqrt(1+x)): what every family needs."""
+    onem, onep = 1.0 - x, 1.0 + x
+    s1m = math.sqrt(onem)
+    return onem, onep, s1m, s1m / (TWO_SQRT2 + math.sqrt(onep))
 
 
-def _shared_terms_mp(x: mpf) -> tuple[mpf, mpf]:
-    """sqrt(1-x) and sqrt(1+x) at the working precision: what the mpmath kernels share."""
-    return mp.sqrt(1 - x), mp.sqrt(1 + x)
+@cache
+def _two_sqrt2_mp(prec: int) -> mpf:
+    """2*sqrt(2) at the working precision, which the caller passes as prec."""
+    return 2 * mp.sqrt(2)
+
+
+def _shared_terms_mp(x: mpf) -> tuple[mpf, mpf, mpf, mpf]:
+    """The _shared_terms of x at the working precision."""
+    onem, onep = 1 - x, 1 + x
+    s1m = mp.sqrt(onem)
+    return onem, onep, s1m, s1m / (_two_sqrt2_mp(mp.prec) + mp.sqrt(onep))
 
 
 def pairs_mp(fams, x: mpf) -> list[tuple[mpf | None, mpf | None]]:
-    """pair_mp of each family at x, with the shared square roots taken once."""
+    """pair_mp of each family at x, with the shared terms taken once."""
     terms = _shared_terms_mp(x)
-    return [fam._kernel_mp()(x, *terms) for fam in fams]
+    return [fam._kernel_mp()(*terms) for fam in fams]
 
 
 def _validated(fams) -> tuple[BoundFamily, ...]:
@@ -313,29 +301,17 @@ def _validated(fams) -> tuple[BoundFamily, ...]:
 DEFAULT_FAMILIES = _validated((carlson(), thm2(ONE_SIXTH), thm2_reversed(B_STAR), thm3()))
 
 
-def _certified_pair(fam: BoundFamily, x: float) -> tuple[float | None, float | None]:
-    lo, up = fam.pair_f64(x)
-    if lo is not None:
-        lo *= _LO_OUT
-    if up is not None:
-        up *= _UP_OUT
-    return lo, up
-
-
 def family_bounds(fam: BoundFamily, x: float) -> BoundInterval:
     """Certified interval from a single valid family at x in (0,1)."""
     if not fam.is_valid:
         raise ValueError(f"family {fam.id} is outside its validity region")
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must be in (0,1), got {x}")
-    lo, up = _certified_pair(fam, x)
-    return BoundInterval(
-        lo, up, fam.id if lo is not None else None, fam.id if up is not None else None
-    )
+    return BoundInterval(*_combine(x, (fam,)))
 
 
 def _combine(x: float, fams):
-    """(lower, upper, lower id, upper id) at x in [0,1); logs shared across families."""
+    """(lower, upper, lower id, upper id) at x in [0,1); shared terms taken once."""
     terms = _shared_terms(x)
     best_lo = best_up = None
     lo_fam = up_fam = None

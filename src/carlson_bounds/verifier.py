@@ -346,11 +346,6 @@ def _comparisons():
     ]
 
 
-def _side_mp(fam: bnd.BoundFamily, side: str, x: mpf) -> mpf:
-    lo, up = fam.pair_mp(x)
-    return lo if side == "lower" else up
-
-
 def check_identities(n: int, seed: int = 0, digits: int | None = None) -> VerificationReport:
     """Discriminant identity plus the coincidence/dominance/two-way structure."""
     if n < 1000:
@@ -385,10 +380,11 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
     with hp_context(digits):
         eq_pts = [mpf(i) / 1000 for i in range(1, 1000)]
         for side, fa, fb, relation in _comparisons():
+            i = 0 if side == "lower" else 1  # the side's place in each (lower, upper) pair
             if relation == "equal":
                 worst = math.inf
                 for xm in eq_pts:
-                    va, vb = _side_mp(fa, side, xm), _side_mp(fb, side, xm)
+                    va, vb = (pair[i] for pair in bnd.pairs_mp((fa, fb), xm))
                     margin = 1e-12 - float(abs(va - vb) / va)
                     worst = min(worst, margin)
                     if margin <= 0.0:
@@ -398,7 +394,7 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
             elif relation == "first_tighter":
                 worst = math.inf
                 for xm in eq_pts[::5]:
-                    va, vb = _side_mp(fa, side, xm), _side_mp(fb, side, xm)
+                    va, vb = (pair[i] for pair in bnd.pairs_mp((fa, fb), xm))
                     margin = float((va - vb) / va)  # lower bounds: bigger is tighter
                     worst = min(worst, margin)
                     if margin <= 0.0:
@@ -409,7 +405,7 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
                 a_pt = b_pt = None
                 for x in grid_d:
                     xm = mpf(x)
-                    va, vb = _side_mp(fa, side, xm), _side_mp(fb, side, xm)
+                    va, vb = (pair[i] for pair in bnd.pairs_mp((fa, fb), xm))
                     tighter_a = va > vb if side == "lower" else va < vb
                     sep = float(abs(va - vb) / va)
                     if sep < 1e-14:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import round_ceiling, round_floor, to_float
 
 from carlson_bounds.bounds import (
     B_STAR,
@@ -125,6 +126,25 @@ def test_one_sided_families():
     iv = family_bounds(thm2_mincoef(0.51, 0.12), 0.5)
     assert iv.upper is None and iv.lower is not None
     assert iv.width is None
+
+
+def test_bad_family_parameters_raise_value_error():
+    # non-finite a or b, or |b| >= 1023, where 2**(b+1/2) or (1+x)**b would
+    # overflow or vanish in float64
+    for bad in (math.inf, -math.inf, math.nan, 1023.0, -1023.0, 2000.0, -2000.0):
+        for make in (thm2, thm2_reversed, lambda b: thm2_maxcoef(0.5, b)):
+            with pytest.raises(ValueError):
+                make(bad)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            thm2_mincoef(bad, 0.12)
+    for text in ("thm2(inf)", "thm2_reversed(-inf)", "thm2(nan)", "thm2(2000)", "thm2_reversed(-2000)"):
+        with pytest.raises(ValueError):
+            parse_family(text)
+    # just inside the limit every bound is finite and positive
+    for fam in (thm2(1022.9), thm2_reversed(-1022.9)):
+        for x in (0.0, 5e-324, 0.5, 1.0 - 2.0**-53):
+            assert all(0.0 < v < math.inf for v in fam.pair_f64(x)), (fam.id, x)
 
 
 def test_parse_family_round_trip():
@@ -494,3 +514,87 @@ def test_envelope_deep_endpoints_still_contain():
             assert env.lower <= ref <= env.upper
             value, radius = approx_arccos(x)
             assert abs(mpf(value) - ref) <= radius
+
+
+# ---------------------------------------------------------------------------
+# float64 rounding of the kernels
+
+
+# the default families and the caller-supplied sets A-D of perfbench's
+# envelope workload
+_KERNEL_FAMILIES = DEFAULT_FAMILIES + (
+    thm2(0.2),
+    thm2(0.5),
+    thm2_reversed(0.1),
+    thm2_maxcoef(0.5, 0.14),
+    thm2_mincoef(0.51, 0.12),
+)
+
+
+def test_float64_kernels_within_4_eps_of_60_digits():
+    # ulp ladder at 1, powers of two down to the subnormals, subnormals and
+    # uniform x: the square-root/power kernels stay within about 2 eps
+    rng = random.Random(12)
+    xs = (
+        [1.0 - k * 2.0**-53 for k in range(1, 10_001)]
+        + [2.0**-k for k in range(1, 1075)]
+        + [k * 2.0**-1074 for k in range(1, 100)]
+        + [rng.random() for _ in range(2000)]
+    )
+    eps = math.ulp(1.0)
+    worst = (0.0, None, None)
+    with workdps(60):
+        for x in xs:
+            for fam, want in zip(_KERNEL_FAMILIES, bounds.pairs_mp(_KERNEL_FAMILIES, mpf(x))):
+                for got, ref in zip(fam.pair_f64(x), want):
+                    if got is not None:
+                        worst = max(worst, (float(abs(got - ref) / ref) / eps, fam.id, x))
+    assert worst[0] <= 4.0, worst
+
+
+def _half_angle_arccos(x: float):
+    """arccos x = 2*asin(sqrt((1-x)/2)) at the working precision, exact in form near 1."""
+    return 2 * mp.asin(mp.sqrt((1 - mpf(x)) / 2))
+
+
+def test_thm2_100_contains_arccos_one_ulp_below_one():
+    # the upper bound is exact as x -> 1; a rounding error that grows with b
+    # once put it 21.5 eps under arccos here
+    x, fam = 1.0 - 2.0**-53, thm2(100.0)
+    with workdps(60):
+        ref = _half_angle_arccos(x)
+        for iv in (family_bounds(fam, x), best_envelope(x, [fam])):
+            assert iv.lower < ref < iv.upper, iv
+        value, radius = approx_arccos(x, [fam])
+        assert abs(value - ref) <= radius
+
+
+def test_large_b_families_contain_arccos_near_the_endpoints():
+    # thm2 b on a 5% geometric grid over [1/6, 1000), thm2_reversed b over
+    # [-1000, B_STAR], at x = 1 - k*2**-53, 2**-k and subnormals; past
+    # k = 60, 1 + 2**-k rounds to 1 and a few k stand for the rest
+    grid = [ONE_SIXTH * 1.05**k for k in range(200) if ONE_SIXTH * 1.05**k < 1000.0]
+    fams = [thm2(b) for b in grid]
+    fams += [thm2_reversed(b) for b in (B_STAR, 0.0, *(-b for b in grid), -1000.0)]
+    near_one = [1.0 - k * 2.0**-53 for k in range(1, 200)]
+    powers = [2.0**-k for k in (*range(1, 61), 100, 300, 600, 1000, 1022, 1060, 1074)]
+    xs = near_one + powers + [k * 2.0**-1074 for k in range(1, 20)]
+    misses = []
+    with workdps(60):
+        refs = {x: _half_angle_arccos(x) for x in xs}
+        # arccos x is irrational here, so it lies strictly between these doubles
+        brackets = {
+            x: (to_float(r._mpf_, rnd=round_floor), to_float(r._mpf_, rnd=round_ceiling))
+            for x, r in refs.items()
+        }
+        for fam in fams:
+            for x in xs:
+                below, above = brackets[x]
+                iv = best_envelope(x, [fam])
+                if not (iv.lower <= below and iv.upper >= above):
+                    misses.append((fam.id, x, iv))
+            for x in near_one:
+                value, radius = approx_arccos(x, [fam])
+                if abs(value - refs[x]) > radius:
+                    misses.append((fam.id, x, "approx"))
+    assert not misses, (len(misses), misses[:5])

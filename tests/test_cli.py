@@ -128,6 +128,15 @@ def test_bounds_bad_family_exits_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text", ["thm2(inf)", "thm2(nan)", "thm2_reversed(-inf)", "thm2(2000)", "thm2_reversed(-2000)"]
+)
+def test_bounds_non_finite_or_huge_b_exits_64(capsys, text):
+    assert main(["bounds", "--x", "0.5", "--families", text]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "b must be finite" in captured.err
+
+
 def test_approx_at_known_point(capsys):
     code, out = run_main(capsys, "approx", "--x", "0.5")
     data = json.loads(out)

@@ -162,10 +162,10 @@ def test_arccos_stable_example_point():
 
 def test_concurrent_mixed_precision_callers():
     # callers at different precisions must not corrupt each other's results
-    # (the global mpmath context is serialized inside the package); workers
+    # (arccos_hp hands its own precision to mpmath and takes no lock); workers
     # only call the package and the errors are measured after the join, since
-    # a workdps in a worker, outside the package lock, would itself change
-    # the precision under the other threads
+    # a workdps in a worker would change mpmath's global precision, and with
+    # it the error arithmetic, under the other threads
     from concurrent.futures import ThreadPoolExecutor
 
     xs = [(i + 1) / 17 for i in range(16)]
