@@ -14,10 +14,15 @@ thm2_mincoef(a,b) (lower only) built from the envelope extremum.
 Each family is written once, in this square-root/power form, over a backend
 (family._F64 or family._MP): pair_f64 and pair_mp run the same expressions
 on the terms 1-x, 1+x, sqrt(1-x) and sqrt(1-x)/(2*sqrt(2)+sqrt(1+x)), which
-are computed once per point.  Against 60 digits the float64 kernels err by
-about 2 eps at most for small |b| (2.2 eps for the default families, 2.8 eps
-for thm2(3)); the rounding of 1+x, raised to the power b, adds up to |b|/2
-eps (51 eps for thm2(100)).
+are computed once per point.  In mpmath, 1+x also keeps its log, taken at
+most once per point at the working precision + 10 bits: mpf_pow raises 1+x
+to a b that is not an integer or half an integer as exp(b*log(1+x)) with
+that log, so sharing it leaves every bit of (1+x)**b as it is, and a point
+that evaluates several families (check_containment) pays for one log.
+
+Against 60 digits the float64 kernels err by about 2 eps at most for small
+|b| (2.2 eps for the default families, 2.8 eps for thm2(3)); the rounding
+of 1+x, raised to the power b, adds up to |b|/2 eps (51 eps for thm2(100)).
 
 best_envelope intersects the enabled families.  Doubles handed back by the
 certified paths are rounded outward (lower down, upper up) by a few ulp so
@@ -34,7 +39,16 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_add, mpf_shift, mpf_sub, round_nearest, to_float
+from mpmath.libmp import (
+    mpf_add,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from . import classifier, family
 from .classifier import TWO_OVER_PI
@@ -154,7 +168,8 @@ class BoundFamily:
         """(lower, upper) from the shared terms of x, in backend m (_F64 or _MP).
 
         The family's constants (cbrt(4), (1/2+sqrt(2))*pi, pi/2, 2**(b+1/2),
-        the envelope coefficient) are computed here, once per kernel.
+        the envelope coefficient) are computed here, once per kernel.  The
+        term 1+x is only ever raised to a power; for _MP it is a _LoggedBase.
         """
         one = m.num(1.0)
         if self.kind == "carlson":
@@ -275,15 +290,50 @@ def _two_sqrt2_mp(prec: int) -> mpf:
     return 2 * mp.sqrt(2)
 
 
-def _shared_terms_mp(x: mpf) -> tuple[mpf, mpf, mpf, mpf]:
-    """The _shared_terms of x at the working precision."""
+class _LoggedBase:
+    """An mpf v whose powers v**t share one log, with the bits of mpf v**t.
+
+    mpf_pow raises v to an integer t by repeated multiplication and to an
+    odd multiple of 1/2 through a square root; it raises v to every other t
+    as exp(t*log v), with the log taken at the working precision + 10 bits
+    and the exp at the working precision, both in the working rounding.
+    ** runs that last branch with the log taken on its first use; the other
+    t (texp >= -1) use v**t itself, as does a negative v, whose complex
+    power does not come from the log.  The working precision must not
+    change between the powers of one instance.
+    """
+
+    __slots__ = ("v", "log")
+
+    def __init__(self, v: mpf):
+        self.v = v
+        self.log = None
+
+    def __pow__(self, t: mpf) -> mpf:
+        vm, tm = self.v._mpf_, t._mpf_
+        if vm[0] or tm[2] >= -1:
+            return self.v**t
+        prec, rnd = mp._prec_rounding
+        if self.log is None:
+            self.log = mpf_log(vm, prec + 10, rnd)
+        return mp.make_mpf(mpf_exp(mpf_mul(tm, self.log), prec, rnd))
+
+
+def _shared_terms_mp(x: mpf) -> tuple[mpf, _LoggedBase, mpf, mpf]:
+    """The _shared_terms of x at the working precision; 1+x shares its log."""
     onem, onep = 1 - x, 1 + x
     s1m = mp.sqrt(onem)
-    return onem, onep, s1m, s1m / (_two_sqrt2_mp(mp.prec) + mp.sqrt(onep))
+    base = s1m / (_two_sqrt2_mp(mp.prec) + mp.sqrt(onep))
+    return onem, _LoggedBase(onep), s1m, base
 
 
 def pairs_mp(fams, x: mpf) -> list[tuple[mpf | None, mpf | None]]:
-    """pair_mp of each family at x, with the shared terms taken once."""
+    """pair_mp of each family at x, with the shared terms taken once.
+
+    The terms share log(1+x): every power (1+x)**b, with b neither an
+    integer nor half an integer, is exp(b*log(1+x)) with that one log, which
+    is how mpf_pow computes it, so the values are those of (1+x)**b.
+    """
     terms = _shared_terms_mp(x)
     return [fam._kernel_mp()(*terms) for fam in fams]
 

@@ -416,13 +416,14 @@ def extrema_points(p: Params) -> ExtremaReport:
     x1: float | None = None
     x2: float | None = None
     if a == b:
-        if qb == 0.0:
+        # qb = -s and qc = s*s: the one root -qc/qb is s, taken as a+b
+        # exactly, the root the thm2_maxcoef/thm2_mincoef coefficient uses
+        if s == 0.0:
             raise ValueError("degenerate parameters: a = b and a + b = 0")
-        root = -qc / qb  # = a + b
-        if qb < 0.0:
-            x1 = root
+        if s > 0.0:
+            x1 = s
         else:
-            x2 = root
+            x2 = s
     elif disc_closed > 0.0:
         x1, x2 = family._envelope_roots(_F64, p, disc_closed)
     max_coeff = None

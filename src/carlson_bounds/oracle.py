@@ -19,17 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import (
-    dps_to_prec,
-    from_float,
-    mpf_abs,
-    mpf_acos,
-    mpf_div,
-    mpf_sub,
-    pi_fixed,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import dps_to_prec, from_float, mpf_acos, pi_fixed, round_nearest
 
 MIN_DIGITS = 17
 MAX_DIGITS = 200
@@ -79,8 +69,8 @@ def _check_digits(digits: int) -> None:
 # precisions would corrupt each other's working precision.  The regions that
 # use operator arithmetic at the global precision (const_hp and the family,
 # classifier and verifier regions) serialize on one reentrant lock;
-# arccos_hp and ulp_distance pass their precision to libmp explicitly and
-# take neither the lock nor the global precision.
+# arccos_hp passes its precision to libmp explicitly and takes neither the
+# lock nor the global precision.
 _MP_LOCK = threading.RLock()
 
 # libmp memoizes pi as one fixed-point value and replaces it, unlocked, when a
@@ -97,7 +87,7 @@ def hp_context(digits: int):
     """Guarded global working precision (digits plus guard) under _MP_LOCK.
 
     For the regions that compute with mpf operators at mp.prec; arccos_hp
-    and ulp_distance do not use it.
+    does not use it.
     """
     with _MP_LOCK:
         with workdps(digits + GUARD_DIGITS):
@@ -181,13 +171,3 @@ def const_hp(name: str, digits: int | None = None) -> HPValue:
             value = (mpf(1) / 2 + mp.sqrt(2)) * mp.pi
         return HPValue(digits, value)
 
-
-def ulp_distance(value: float, reference: HPValue) -> float:
-    """|value - reference| measured in ulps of the double nearest the reference."""
-    ref_d = float(reference.value)
-    unit = math.ulp(abs(ref_d)) if ref_d != 0.0 else math.ulp(0.0)
-    # the reference's working precision, passed to libmp explicitly
-    prec = dps_to_prec(reference.digits + GUARD_DIGITS)
-    diff = mpf_sub(from_float(value), reference.value._mpf_, prec, round_nearest)
-    ratio = mpf_div(mpf_abs(diff, prec, round_nearest), from_float(unit), prec, round_nearest)
-    return to_float(ratio, rnd=round_nearest)

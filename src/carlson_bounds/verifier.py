@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_float, mpf_div, mpf_le, mpf_sub, to_float
 
 from . import bounds as bnd
 from . import family
@@ -90,10 +91,13 @@ def check_containment(
 ) -> list[VerificationReport]:
     """check_double_inequality for each of fams, in one pass over the points.
 
-    Each point gets one arccos reference and one set of shared square roots
-    (bounds.pairs_mp); every family keeps its own worst margin and its own
-    witnesses, in point order, so each report is the one its single check
-    gives.
+    Each point gets one arccos reference and one set of shared terms, square
+    roots and log(1+x) (bounds.pairs_mp); every family keeps its own worst
+    margin and its own witnesses, in point order, so each report is the one
+    its single check gives.  The margins (ref - lower)/ref and
+    (upper - ref)/ref are taken in libmp at the working precision and
+    rounding, as the mpf operators take them, and compared exactly with
+    STRICT_MARGIN, converted once.
     """
     fams = tuple(fams)
     if n < 1000:
@@ -106,20 +110,23 @@ def check_containment(
     pts = _containment_points(n, endpoint_depth, seed)
     worst = [math.inf] * len(fams)
     witnesses = [[] for _ in fams]
+    strict = from_float(STRICT_MARGIN)
     with hp_context(digits):
+        prec, rnd = mp._prec_rounding
         for x in pts:
             xm = mpf(x)
-            ref = acos_mp(xm)
+            ref = acos_mp(xm)._mpf_
             for i, (lo, up) in enumerate(bnd.pairs_mp(fams, xm)):
-                for side, margin in (
-                    ("lower", (ref - lo) / ref if lo is not None else None),
-                    ("upper", (up - ref) / ref if up is not None else None),
+                for side, diff in (
+                    ("lower", None if lo is None else mpf_sub(ref, lo._mpf_, prec, rnd)),
+                    ("upper", None if up is None else mpf_sub(up._mpf_, ref, prec, rnd)),
                 ):
-                    if margin is None:
+                    if diff is None:
                         continue
-                    mf = float(margin)
+                    margin = mpf_div(diff, ref, prec, rnd)
+                    mf = to_float(margin, rnd=rnd)
                     worst[i] = min(worst[i], mf)
-                    if margin <= STRICT_MARGIN:
+                    if mpf_le(margin, strict):
                         witnesses[i].append((float(xm), f"{side} bound violated, margin {mf!r}"))
     return [
         VerificationReport(
@@ -325,6 +332,10 @@ def check_sharpness(kind: str, epsilon: float, digits: int | None = None) -> Ver
 # ---------------------------------------------------------------------------
 # algebraic identities and the mutual-tightness structure of the four bounds
 
+# place of each side in a (lower, upper) pair
+_SIDE = {"lower": 0, "upper": 1}
+
+
 # expected relation of corresponding sides across the four concrete double
 # inequalities: two stated coincidences, one stated one-way dominance (plus
 # its mirror through the coincident side), everything else two-way
@@ -347,7 +358,16 @@ def _comparisons():
 
 
 def check_identities(n: int, seed: int = 0, digits: int | None = None) -> VerificationReport:
-    """Discriminant identity plus the coincidence/dominance/two-way structure."""
+    """Discriminant identity plus the coincidence/dominance/two-way structure.
+
+    The comparisons of _comparisons() run together, in one pass over each
+    point set: each point takes one bounds.pairs_mp call for the families
+    of the comparisons still running there.  Each keeps its own stop rule
+    (an equal or first_tighter comparison stops at its first failure, a
+    two_way one once it has both witnesses), so the witnesses are those of
+    one loop per comparison, and they are reported in _comparisons() order,
+    after the discriminant witnesses.
+    """
     if n < 1000:
         raise ValueError(f"need n >= 1000 samples, got {n}")
     if digits is None:
@@ -376,53 +396,66 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
     margins.append(disc_worst)
 
     # (ii)+(iii) side-by-side structure of the four concrete inequalities
+    comps = _comparisons()
+
+    def values(active, xm):
+        """(va, vb) of each active comparison at xm."""
+        fams = list(dict.fromkeys(fam for k in active for fam in comps[k][1:3]))
+        got = dict(zip(fams, bnd.pairs_mp(fams, xm)))
+        return [(got[fa][_SIDE[s]], got[fb][_SIDE[s]]) for s, fa, fb, _ in (comps[k] for k in active)]
+
+    worst = [math.inf] * len(comps)
+    found = [None] * len(comps)  # the one witness each comparison may give
     grid_d = [i / 200 for i in range(1, 200)]
     with hp_context(digits):
+        # equal on every point of eq_pts, first_tighter on every 5th, each
+        # until its first failure
         eq_pts = [mpf(i) / 1000 for i in range(1, 1000)]
-        for side, fa, fb, relation in _comparisons():
-            i = 0 if side == "lower" else 1  # the side's place in each (lower, upper) pair
-            if relation == "equal":
-                worst = math.inf
-                for xm in eq_pts:
-                    va, vb = (pair[i] for pair in bnd.pairs_mp((fa, fb), xm))
+        running = [k for k, comp in enumerate(comps) if comp[3] != "two_way"]
+        for j, xm in enumerate(eq_pts):
+            active = [k for k in running if comps[k][3] == "equal" or j % 5 == 0]
+            if not active:
+                continue
+            for k, (va, vb) in zip(active, values(active, xm)):
+                side, fa, fb, relation = comps[k]
+                if relation == "equal":
                     margin = 1e-12 - float(abs(va - vb) / va)
-                    worst = min(worst, margin)
-                    if margin <= 0.0:
-                        witnesses.append((float(xm), f"{side}:{fa.id} vs {fb.id} not coincident"))
-                        break
-                margins.append(worst)
-            elif relation == "first_tighter":
-                worst = math.inf
-                for xm in eq_pts[::5]:
-                    va, vb = (pair[i] for pair in bnd.pairs_mp((fa, fb), xm))
-                    margin = float((va - vb) / va)  # lower bounds: bigger is tighter
-                    worst = min(worst, margin)
-                    if margin <= 0.0:
-                        witnesses.append((float(xm), f"{side}:{fa.id} fails to dominate {fb.id}"))
-                        break
-                margins.append(worst)
-            else:  # two_way
-                a_pt = b_pt = None
-                for x in grid_d:
-                    xm = mpf(x)
-                    va, vb = (pair[i] for pair in bnd.pairs_mp((fa, fb), xm))
-                    tighter_a = va > vb if side == "lower" else va < vb
-                    sep = float(abs(va - vb) / va)
-                    if sep < 1e-14:
-                        continue
-                    if tighter_a and a_pt is None:
-                        a_pt = (x, sep)
-                    if not tighter_a and b_pt is None:
-                        b_pt = (x, sep)
-                    if a_pt and b_pt:
-                        break
-                if a_pt is None or b_pt is None:
-                    witnesses.append(
-                        ([0.0, 0.0], f"{side}:{fa.id} vs {fb.id}: no two-way witnesses found")
-                    )
-                    margins.append(-1.0)
+                    text = f"{side}:{fa.id} vs {fb.id} not coincident"
                 else:
-                    margins.append(min(a_pt[1], b_pt[1]))
+                    margin = float((va - vb) / va)  # lower bounds: bigger is tighter
+                    text = f"{side}:{fa.id} fails to dominate {fb.id}"
+                worst[k] = min(worst[k], margin)
+                if margin <= 0.0:
+                    found[k] = (float(xm), text)
+                    running.remove(k)
+            if not running:
+                break
+        # two_way on grid_d until both witnesses are found: a point where
+        # the first family is tighter, and one where the second is
+        tighter = {k: [None, None] for k, comp in enumerate(comps) if comp[3] == "two_way"}
+        running = list(tighter)
+        for x in grid_d:
+            if not running:
+                break
+            xm = mpf(x)
+            for k, (va, vb) in zip(running, values(running, xm)):
+                sep = float(abs(va - vb) / va)
+                if sep < 1e-14:
+                    continue
+                tighter_a = va > vb if comps[k][0] == "lower" else va < vb
+                slot = 0 if tighter_a else 1
+                if tighter[k][slot] is None:
+                    tighter[k][slot] = (x, sep)
+            running = [k for k in running if None in tighter[k]]
+    for k, pts in tighter.items():
+        side, fa, fb, _ = comps[k]
+        if None in pts:
+            found[k] = ([0.0, 0.0], f"{side}:{fa.id} vs {fb.id}: no two-way witnesses found")
+            worst[k] = -1.0
+        else:
+            worst[k] = min(pts[0][1], pts[1][1])
+    margins.extend(worst)
+    witnesses.extend(w for w in found if w is not None)
     return VerificationReport(
         check_id="identities",
         samples=n + 999 + len(grid_d),

@@ -313,6 +313,65 @@ def test_pair_mp_constants_follow_the_working_precision():
                     assert got == want, (fam.id, digits, x)
 
 
+def _pair_f64_power_form(fam, x):
+    """pair_f64 written out with float ** for every power of 1+x."""
+    onem, onep = 1.0 - x, 1.0 + x
+    s1m = math.sqrt(onem)
+    base = s1m / (2.0 * math.sqrt(2.0) + math.sqrt(onep))
+    if fam.kind == "carlson":
+        return 6 * base, bounds.CBRT4 * s1m / onep ** (1.0 / 6)
+    if fam.kind == "thm3":
+        return 6 * base, bounds.BEST_UPPER_THM3 * base
+    if fam.kind in ("thm2", "thm2_reversed"):
+        w = s1m / onep**fam.b
+        lo, up = math.pi / 2 * w, 2 ** (fam.b + 0.5) * w
+        return (lo, up) if fam.kind == "thm2" else (up, lo)
+    upper_only = fam.kind == "thm2_maxcoef"
+    w = onem**fam.a / onep**fam.b
+    coef = fam._coefficient(family._F64, upper_only)
+    return (None, coef * w) if upper_only else (coef * w, None)
+
+
+def test_shared_log_gives_the_bits_of_the_power_form():
+    # pairs_mp takes log(1+x) once per point for every family; each value
+    # must be the bits of (1+x)**b from scratch, also for the b that mpf_pow
+    # sends down its integer (1, 3) or square-root (0.5, 2.5) path, and
+    # pair_f64 (libm pow) the bits of float **
+    fams = (
+        carlson(),
+        thm3(),
+        thm2(1 / 6),
+        thm2(0.2),
+        thm2(0.5),
+        thm2(1.0),
+        thm2(2.5),
+        thm2(3.0),
+        thm2_reversed(B_STAR),
+        thm2_reversed(-7.25),
+        thm2_maxcoef(0.5, 0.14),
+        thm2_mincoef(0.51, 0.12),
+    )
+    # among them points where exp(b*log(1+x)) and the integer or square-root
+    # path round differently for b in (0.5, 2.5, 3) at one of the precisions
+    xs = [1 - k * 2.0**-53 for k in (1, 2, 3, 7, 100, 179, 4097)]
+    xs += [2.0**-k for k in (1, 2, 5, 21, 26, 30, 44, 53, 54, 59, 65, 68, 200, 1000)]
+    xs += [0.0, 0.3, 0.8125]
+
+    def bits(v):
+        return None if v is None else (v.man, v.exp)
+
+    for digits in (17, 40, 200):
+        with workdps(digits):
+            for x in xs:
+                xm = mpf(x)
+                got = [[bits(v) for v in pair] for pair in bounds.pairs_mp(fams, xm)]
+                want = [[bits(v) for v in _pair_mp_from_scratch(fam, xm)] for fam in fams]
+                assert got == want, (digits, x)
+    for x in xs:
+        for fam in fams:
+            assert fam.pair_f64(x) == _pair_f64_power_form(fam, x), (fam.id, x)
+
+
 def test_width_decay_toward_one():
     # widths at x = 1 - 10**-k, k = 2..10, strictly decreasing (40 digits)
     for fam in (carlson(), thm2(ONE_SIXTH)):

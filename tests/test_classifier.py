@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
+from carlson_bounds import family
+from carlson_bounds.bounds import thm2_maxcoef
 from carlson_bounds.classifier import (
     FOUR_OVER_PI_SQ,
     ONE_THIRD,
@@ -494,6 +496,17 @@ def test_extrema_degenerate_linear():
     assert rep.x1 is None and rep.min_coeff is None
     with pytest.raises(ValueError):
         extrema_points(Params(0.0, 0.0))
+
+
+def test_extrema_at_a_equal_b_are_the_certified_root_and_coefficient():
+    # on a = b the envelope maximum sits at a+b; extrema_points must report
+    # the x1 and max_coeff that thm2_maxcoef(a, a) certifies with, bit for bit
+    rng = random.Random(12)
+    for _ in range(20_000):
+        a = rng.uniform(0.01, 0.49)
+        rep = extrema_points(Params(a, a))
+        assert rep.x1 == a + a, a
+        assert rep.max_coeff == thm2_maxcoef(a, a)._coefficient(family._F64, True), a
 
 
 def test_discriminant_identity_bulk():

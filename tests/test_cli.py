@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,22 @@ def test_verify_passes_and_is_deterministic():
     for line in lines[:-1]:
         rep = json.loads(line)
         assert set(rep) == {"check_id", "samples", "worst_margin", "passed", "witnesses"}
+
+
+# the suite's stdout, pinned byte for byte: a change to these files changes
+# the verify contract and must be argued in CHANGES.md
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (("--seed", "0"), "verify_seed0.json"),
+        (("--seed", "7"), "verify_seed7.json"),
+        (("--seed", "7", "--format", "csv"), "verify_seed7.csv"),
+    ],
+)
+def test_verify_stdout_matches_golden_file(args, golden):
+    proc = run_cli("verify", *args)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
 def test_verify_csv_format(capsys):

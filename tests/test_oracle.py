@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import dps_to_prec, from_float, mpf_abs, mpf_div, mpf_sub, round_nearest, to_float
 
 from carlson_bounds.bounds import bound_table
 from carlson_bounds.oracle import (
@@ -17,8 +18,18 @@ from carlson_bounds.oracle import (
     arccos_stable,
     const_hp,
     default_digits,
-    ulp_distance,
 )
+
+
+def ulp_distance(value: float, reference: HPValue) -> float:
+    """|value - reference| measured in ulps of the double nearest the reference."""
+    ref_d = float(reference.value)
+    unit = math.ulp(abs(ref_d)) if ref_d != 0.0 else math.ulp(0.0)
+    # the reference's working precision, passed to libmp explicitly
+    prec = dps_to_prec(reference.digits + GUARD_DIGITS)
+    diff = mpf_sub(from_float(value), reference.value._mpf_, prec, round_nearest)
+    ratio = mpf_div(mpf_abs(diff, prec, round_nearest), from_float(unit), prec, round_nearest)
+    return to_float(ratio, rnd=round_nearest)
 
 
 def rel_err(value: mpf, reference: mpf) -> float:

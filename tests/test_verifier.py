@@ -1,14 +1,17 @@
 import json
 import math
+import random
 
 import pytest
 from mpmath import mpf
 
 from carlson_bounds.bounds import B_STAR, ONE_SIXTH, BoundFamily, carlson, thm2, thm2_reversed, thm3
-from carlson_bounds.classifier import RegionClass
+from carlson_bounds import verifier
+from carlson_bounds.classifier import RegionClass, extrema_points
 from carlson_bounds.family import EvalPoint, Params, f_eval
 from carlson_bounds.oracle import hp_context
 from carlson_bounds.verifier import (
+    VerificationReport,
     _containment_points,
     check_class,
     check_containment,
@@ -215,6 +218,96 @@ def test_identities_pass():
     assert rep.passed
     assert rep.worst_margin > 0
     assert rep.witnesses == []
+
+
+def _identities_reference(n, seed, digits=40):
+    """check_identities as one loop per comparison, each over its own points."""
+    rng = random.Random(seed)
+    margins = []
+    witnesses = []
+    disc_worst = math.inf
+    count = 0
+    while count < n:
+        a = rng.uniform(-1.0, 1.0)
+        b = rng.uniform(-1.0, 1.0)
+        if abs(a - b) < 1e-6:
+            continue
+        count += 1
+        rep = extrema_points(Params(a, b))
+        allowance = 1e-10 * max(1.0, abs(rep.disc_closed))
+        margin = allowance - abs(rep.disc_closed - rep.disc_quadratic)
+        disc_worst = min(disc_worst, margin)
+        if margin <= 0.0:
+            gap = abs(rep.disc_closed - rep.disc_quadratic)
+            witnesses.append(([a, b], f"discriminant forms differ by {gap!r}"))
+    margins.append(disc_worst)
+    grid_d = [i / 200 for i in range(1, 200)]
+    with hp_context(digits):
+        eq_pts = [mpf(i) / 1000 for i in range(1, 1000)]
+        for side, fa, fb, relation in verifier._comparisons():
+            i = 0 if side == "lower" else 1
+            if relation in ("equal", "first_tighter"):
+                worst = math.inf
+                for xm in eq_pts if relation == "equal" else eq_pts[::5]:
+                    va, vb = fa.pair_mp(xm)[i], fb.pair_mp(xm)[i]
+                    if relation == "equal":
+                        margin = 1e-12 - float(abs(va - vb) / va)
+                        text = f"{side}:{fa.id} vs {fb.id} not coincident"
+                    else:
+                        margin = float((va - vb) / va)
+                        text = f"{side}:{fa.id} fails to dominate {fb.id}"
+                    worst = min(worst, margin)
+                    if margin <= 0.0:
+                        witnesses.append((float(xm), text))
+                        break
+                margins.append(worst)
+                continue
+            a_pt = b_pt = None
+            for x in grid_d:
+                xm = mpf(x)
+                va, vb = fa.pair_mp(xm)[i], fb.pair_mp(xm)[i]
+                tighter_a = va > vb if side == "lower" else va < vb
+                sep = float(abs(va - vb) / va)
+                if sep < 1e-14:
+                    continue
+                if tighter_a and a_pt is None:
+                    a_pt = (x, sep)
+                if not tighter_a and b_pt is None:
+                    b_pt = (x, sep)
+                if a_pt and b_pt:
+                    break
+            if a_pt is None or b_pt is None:
+                witnesses.append(([0.0, 0.0], f"{side}:{fa.id} vs {fb.id}: no two-way witnesses found"))
+                margins.append(-1.0)
+            else:
+                margins.append(min(a_pt[1], b_pt[1]))
+    return VerificationReport("identities", n + 999 + len(grid_d), min(margins), not witnesses, witnesses)
+
+
+def test_identities_match_one_loop_per_comparison(monkeypatch):
+    assert check_identities(1000, seed=4).to_dict() == _identities_reference(1000, 4).to_dict()
+    c, t2, tr, t3 = carlson(), thm2(ONE_SIXTH), thm2_reversed(B_STAR), thm3()
+    # failing relations (coincidence, dominance either way, a coincident
+    # pair called two-way), some at the first point and some further on,
+    # mixed with passing ones and families outside the four
+    relations = [
+        ("lower", t2, thm2(ONE_SIXTH + 1e-10), "equal"),
+        ("lower", t2, c, "first_tighter"),
+        ("lower", c, t2, "equal"),
+        ("lower", c, t3, "equal"),
+        ("upper", t3, c, "first_tighter"),
+        ("lower", c, tr, "first_tighter"),
+        ("lower", c, t2, "first_tighter"),
+        ("upper", c, t2, "two_way"),
+        ("upper", t2, t3, "two_way"),
+        ("upper", thm2(0.2), c, "two_way"),
+        ("lower", tr, thm2(0.2), "equal"),
+    ]
+    monkeypatch.setattr(verifier, "_comparisons", lambda: relations)
+    got = check_identities(1000, seed=4)
+    assert not got.passed
+    assert len(got.witnesses) >= 4
+    assert got.to_dict() == _identities_reference(1000, 4).to_dict()
 
 
 # ---------------------------------------------------------------------------
