@@ -18,7 +18,7 @@ of g'
 
     g(x64) - g'(x64)**2 * 45/4 <= min g <= g(x64),
 
-one g and one g' evaluation, decides every |min g| above about 5e-23.
+one g and one g' evaluation, decides every |min g| above about 3e-26.
 Only a narrower min g polishes the zero at 40 digits.
 
 The published strictly-increasing condition inside the window is
@@ -161,7 +161,8 @@ def classify_symbolic(p: Params) -> RegionClass:
       below 1e-14, a+b is within that of s*(d) < 2/3; (a-b)*x, below 0.41,
       rounds twice, a+b and their sum once each, and the difference is
       exact: under 12u = 1.4e-15 in all.  g(x64) exceeds min g by under
-      2e-22 (x64 is within about 5e-11 of the zero, and g'' <= 0.12).
+      1e-25 (x64 is within about 1.1e-12 of the zero, _g_prime_zero64's
+      width plus _ZERO64_RES, and g'' <= 0.12).
 
     The band is over seven times the larger bound.  classify_numeric's tol
     (1e-9 by default) would send far more inputs to 40 digits.
@@ -229,10 +230,11 @@ _G2_INF = 2.0 / 45.0
 # top of the float64 bracket of the zero of g'
 _TOP = 1.0 - 1e-12
 
-# the float64 zero of g' is off by up to about 5e-11 (float64 g' errs by up
-# to 2e-12 near x = 1 - GPRIME_PROMOTE, where g'' is 0.045); finer
-# tolerances are met by polishing it at 40 digits
-_ZERO64_RES = 1e-10
+# the float64 zero of g' is off by up to about 1e-13 beyond the width it is
+# sought to (float64 g' errs by under 4e-15 absolute, 1.3e-15 measured at
+# theta0, and g'' >= 2/45); finer tolerances are met by polishing it at 40
+# digits
+_ZERO64_RES = 1e-13
 
 
 def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None, x=None):
@@ -312,9 +314,10 @@ def _g_min(p: Params, m, x64):
     parabola g(x64) + g'(x64) (x - x64) + (x - x64)**2 / 45, whose least
     value it is.  g(x64) below -1e-30, the zero of _sign_exact, is returned
     as is, and so is a lower bound above 1e-30; each has the sign of min g
-    and decides it.  Float64 g' errs by up to about 2e-12, so |g'(x64)| is
-    about that at most, the enclosure at most about 5e-23 wide, and every
-    |min g| above that is decided.
+    and decides it.  The float64 iteration stops at |g'| <= 4.4e-14 or
+    within 1e-12 of the zero, and float64 g' errs by under 4e-15, so
+    |g'(x64)| is under about 5e-14, the enclosure at most about 3e-26 wide,
+    and every |min g| above that is decided.
 
     Otherwise, or when x64 is None (the zero, if any, then lies in [_TOP,
     1 - 1e-25]), the zero is polished at 40 digits by Newton to a width of
@@ -379,9 +382,9 @@ def critical_point_g(p: Params, tol: float) -> float | None:
     None is returned when g' has constant sign (a-b outside (1/3, 4/pi**2))
     and also when the zero sits within tol of an endpoint, where no interior
     sign change is resolvable at the requested tolerance.  A tol below
-    1e-10, finer than float64 g' resolves its zero, has the zero polished at
-    40 digits, so a tol finer than the float64 spacing there yields the
-    double nearest the zero.
+    _ZERO64_RES = 1e-13, finer than float64 g' resolves its zero, has the
+    zero polished at 40 digits, so a tol finer than the float64 spacing there
+    yields the double nearest the zero.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
@@ -399,6 +402,15 @@ def critical_point_g(p: Params, tol: float) -> float | None:
     return x
 
 
+def _disc_quadratic(p: Params) -> float:
+    """Discriminant of the envelope-derivative quadratic, from its coefficients."""
+    s, d = p.a + p.b, p.a - p.b
+    qa = d * d
+    qb = s * (2.0 * d - 1.0)
+    qc = s * s - d
+    return qb * qb - 4.0 * qa * qc
+
+
 def extrema_points(p: Params) -> ExtremaReport:
     """Both discriminant forms, the envelope extremum roots and coefficients.
 
@@ -407,12 +419,9 @@ def extrema_points(p: Params) -> ExtremaReport:
     a+b < 0); a == b == 0 is fully degenerate and raises.
     """
     a, b = p.a, p.b
-    s, d = a + b, a - b
+    s = a + b
     disc_closed = family._envelope_disc(_F64, p)
-    qa = d * d
-    qb = s * (2.0 * d - 1.0)
-    qc = s * s - d
-    disc_quadratic = qb * qb - 4.0 * qa * qc
+    disc_quadratic = _disc_quadratic(p)
     x1: float | None = None
     x2: float | None = None
     if a == b:

@@ -12,12 +12,29 @@ value envelope, and the square-root-kernel comparison function F are
 evaluable in float64 or at any requested decimal precision.
 
 Each formula is written once, as a function of a backend m (sqrt, log1p,
-exp, acos, pi, and num to lift a parameter), the Params p and the point x.
-_F64 serves it from math and arccos_stable, _MP from mpmath at the working
-precision and acos_mp; both arccos names are looked up at call time, so
-rebinding them here reaches every formula.  _MP's log1p is mp.log(1 + x):
-rounding 1 + x costs half an ulp of 1 at most, which the guard digits
-absorb, and it keeps every high-precision value the same to the last bit.
+exp, acos, pi, num to lift a parameter, and the chain kernels below), the
+Params p and the point x.  _F64 serves it from math and arccos_stable, _MP
+from mpmath at the working precision and acos_mp; both arccos names are
+looked up at call time, so rebinding them here reaches every formula.
+_MP's log1p is mp.log(1 + x): rounding 1 + x costs half an ulp of 1 at
+most, which the guard digits absorb, and it keeps every high-precision
+value the same to the last bit.
+
+The chain cancels as x -> 1.  With theta = arccos x,
+
+    g'  = (a-b) - k(theta),  k = 1/theta**2 - cot(theta)/theta -> 1/3,
+    h   = theta**2 + theta*sin(theta)*cos(theta) - 2*sin(theta)**2
+        = theta**3 * sin(theta)**2 * k'(theta)                  ~ 2*theta**6/45,
+    q   = 3*sin(theta)*cos(theta)/(1 + 2*cos(theta)**2) - theta  ~ -4*theta**5/45,
+    g'' = h / (sin(theta)**3 * theta**3),
+
+so the backend supplies the three cancelling kernels minus_k (d - k for
+d = a-b), h and q, each a function of x and theta.  _MP's are the closed
+forms in x.  _F64's are Taylor polynomials in theta**2 below _THETA0 = 0.6
+(x above cos 0.6 = 0.825) and the same closed forms above it.  Against 50
+digits they err on [0, 1) by under 1.5e-15 absolute for g' and 1.5e-13
+relative for h, q and g'', largest just above _THETA0, and by a few ulps below
+it (test_float64_chain_matches_50_digits).
 """
 
 from __future__ import annotations
@@ -29,30 +46,116 @@ from types import SimpleNamespace
 
 from mpmath import mp, mpf
 
-from .oracle import acos_mp, arccos_stable, default_digits, hp_context
+from .oracle import _check_digits, acos_mp, arccos_stable, default_digits, hp_context
 
 # float64 evaluations this close to an endpoint are computed at the default
 # high precision instead: 1 - x**2 style cancellation destroys doubles there
 ENDPOINT_PROMOTE = 1e-8
 
-# wider bands for the expressions that cancel worse near x = 1:
-# h goes like (1-x)**3 and q like (1-x)**(5/2) against O(1-x) terms,
-# g' is a difference of two terms growing like 1/(1-x)
-#
-# CHAIN_PROMOTE is sized for the absolute cancellation of h (and g'), not
-# for the relative accuracy of g'' = h / ((1-x**2)**1.5 * arccos**3): just
-# outside the band g'' in float64 is only about 3.6e-5 accurate relative.
-# That is harmless as long as g'' is used only for its sign
-# (check_sign_chain) or as a Newton slope (classifier._g_prime_root: the
-# error changes a step by the same 3.6e-5 relative, and the bracket kept
-# from the signs of g' holds every iterate); a caller that needs g'' to
-# more digits must ask for it at high precision
-CHAIN_PROMOTE = 1e-5
-GPRIME_PROMOTE = 1e-4
+# kept only for perfbench/tracer.py, which reads them; ROADMAP item 5 deletes both
+GPRIME_PROMOTE = CHAIN_PROMOTE = ENDPOINT_PROMOTE
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 CHAIN_SELECTORS = ("h", "q", "g_second", "big_g")
+
+# below this theta = arccos x the float64 chain kernels take their series
+_THETA0 = 0.6
+
+# _K[n] = 2**(2n+2) |B_(2n+2)| / (2n+2)!, the coefficient of theta**(2n) in
+# k(theta) (from the Laurent series of cot); at theta0 the first omitted
+# term is 4e-21 of k, and 2e-18 of k' below
+_K = (
+    0.3333333333333333,
+    0.022222222222222223,
+    0.0021164021164021165,
+    0.00021164021164021165,
+    2.1377799155576935e-05,
+    2.1644042808063972e-06,
+    2.1925947851873778e-07,
+    2.2214608789979678e-08,
+    2.2507846516808994e-09,
+    2.2805151204592183e-10,
+    2.3106432599002624e-11,
+    2.3411706819824882e-12,
+    2.3721017400233653e-13,
+    2.4034415333307705e-14,
+)
+# q(theta) / theta**5 in powers of theta**2; its poles at pi/2 +- 0.66i
+# (|theta| = 1.70) set the decay, and at theta0 the first omitted term is
+# 1.3e-18 of the sum
+_Q = (
+    -0.08888888888888889,
+    -0.042328042328042326,
+    -0.009876543209876543,
+    0.0002565335898669232,
+    0.0012975775938738902,
+    0.0005966781275423251,
+    0.00013420960711481858,
+    -6.032169568582617e-06,
+    -1.8862924555462202e-05,
+    -8.400284612778674e-06,
+    -1.8187490121427657e-06,
+    1.1909980262032544e-07,
+    2.7367660915060974e-07,
+    1.1812467634571309e-07,
+    2.4573953362442232e-08,
+    -2.1587244400917336e-09,
+    -3.963367226319624e-09,
+    -1.6591126990763634e-09,
+    -3.3095718448047333e-10,
+)
+# the series as _poly takes them, from the highest power down; _KP_DESC is
+# k'(theta) / theta = sum over n >= 1 of 2n * _K[n] * theta**(2n-2)
+_K_DESC = _K[::-1]
+_KP_DESC = tuple(2 * n * c for n, c in enumerate(_K) if n)[::-1]
+_Q_DESC = _Q[::-1]
+
+
+def _poly(desc, t):
+    """The polynomial in t with coefficients desc, highest power first (Horner)."""
+    acc = 0.0
+    for c in desc:
+        acc = acc * t + c
+    return acc
+
+
+# the chain kernels, as functions of x and ac = arccos x: _MP's are the
+# closed forms, and _F64's take the series below _THETA0 and the same
+# closed forms above it
+
+
+def _minus_k_mp(d, x, ac):
+    return d - 1 / (ac * ac) + x / (mp.sqrt((1 - x) * (1 + x)) * ac)
+
+
+def _h_mp(x, ac):
+    return ac * ac + x * mp.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
+
+
+def _q_mp(x, ac):
+    return 3 * x * mp.sqrt((1 - x) * (1 + x)) / (1 + 2 * x * x) - ac
+
+
+def _minus_k64(d, x, ac):
+    if ac < _THETA0:
+        return d - _poly(_K_DESC, ac * ac)
+    return d - 1 / (ac * ac) + x / (math.sqrt((1 - x) * (1 + x)) * ac)
+
+
+def _h64(x, ac):
+    if ac < _THETA0:
+        t = ac * ac
+        return (1 - x) * (1 + x) * t * t * _poly(_KP_DESC, t)
+    return ac * ac + x * math.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
+
+
+def _q64(x, ac):
+    if ac < _THETA0:
+        t = ac * ac
+        return ac * t * t * _poly(_Q_DESC, t)
+    return 3 * x * math.sqrt((1 - x) * (1 + x)) / (1 + 2 * x * x) - ac
+
 
 _F64 = SimpleNamespace(
     num=operator.pos,  # the identity on float (and int) parameters
@@ -61,6 +164,9 @@ _F64 = SimpleNamespace(
     exp=math.exp,
     acos=lambda x: arccos_stable(x),
     pi=math.pi,
+    minus_k=_minus_k64,
+    h=_h64,
+    q=_q64,
 )
 _MP = SimpleNamespace(
     num=mpf,
@@ -69,6 +175,9 @@ _MP = SimpleNamespace(
     exp=mp.exp,
     acos=lambda x: acos_mp(x),
     pi=mp.pi,
+    minus_k=_minus_k_mp,
+    h=_h_mp,
+    q=_q_mp,
 )
 
 
@@ -88,9 +197,11 @@ class Params:
 class EvalPoint:
     """Evaluation point with requested precision.
 
-    digits=None means float64 (auto-promoted near the endpoints); an integer
-    requests that many decimal digits.  x may be a float, mpf, or decimal
-    string so callers can state points like 1 - 1e-30 exactly.
+    digits=None means float64, computed at the default high precision
+    instead within ENDPOINT_PROMOTE of either endpoint; an integer in
+    [MIN_DIGITS, MAX_DIGITS] requests that many decimal digits, and any other
+    raises ValueError when the point is evaluated.  x may be a float, mpf, or
+    decimal string so callers can state points like 1 - 1e-30 exactly.
     """
 
     x: float | str | mpf
@@ -101,16 +212,17 @@ def _domain_error(x, lo_txt: str, hi_txt: str):
     raise ValueError(f"x must be in {lo_txt}0, 1{hi_txt}, got {x}")
 
 
-def _evaluate(pt: EvalPoint, expr, p: Params | None, include_zero: bool, band: float = ENDPOINT_PROMOTE):
+def _evaluate(pt: EvalPoint, expr, p: Params | None, include_zero: bool):
     """expr(m, p, x) with the float64 or the high-precision backend m.
 
     Domain is [0,1) when include_zero else (0,1); checks run on the value in
     the precision the point carries, so string/mpf points survive intact.
-    float64 requests within `band` of x = 1 (or within the general band of
-    x = 0) are silently computed at the default high precision.
+    float64 requests within ENDPOINT_PROMOTE of x = 0 or x = 1 are silently
+    computed at the default high precision.
     """
     lo_txt, hi_txt = ("[", ")") if include_zero else ("(", ")")
     if pt.digits is not None:
+        _check_digits(pt.digits)
         with hp_context(pt.digits):
             xm = mpf(pt.x)
             ok = (xm >= 0 if include_zero else xm > 0) and xm < 1
@@ -121,7 +233,7 @@ def _evaluate(pt: EvalPoint, expr, p: Params | None, include_zero: bool, band: f
     ok = (x >= 0.0 if include_zero else x > 0.0) and x < 1.0
     if not ok:
         _domain_error(pt.x, lo_txt, hi_txt)
-    if (0.0 < x <= ENDPOINT_PROMOTE) or (1.0 - x <= band):
+    if (0.0 < x <= ENDPOINT_PROMOTE) or (1.0 - x <= ENDPOINT_PROMOTE):
         with hp_context(default_digits()):
             return float(expr(_MP, p, mpf(pt.x)))
     return expr(_F64, p, x)
@@ -175,8 +287,7 @@ def _g_prime(m, p, x):
     a, b = m.num(p.a), m.num(p.b)
     if not x:
         return a - b - 4 / m.pi**2
-    ac = m.acos(x)
-    return a - b - 1 / (ac * ac) + x / (m.sqrt((1 - x) * (1 + x)) * ac)
+    return m.minus_k(a - b, x, m.acos(x))
 
 
 def _g_prime_at_1(m, p):
@@ -210,7 +321,7 @@ def g_prime_eval(p: Params, pt: EvalPoint):
     At x == 0 the closed form a - b - 4/pi**2 is returned directly; the
     x -> 1- limit a - b - 1/3 is delivered by g_prime_limit_at_1.
     """
-    return _evaluate(_exact_zero(pt), _g_prime, p, include_zero=True, band=GPRIME_PROMOTE)
+    return _evaluate(_exact_zero(pt), _g_prime, p, include_zero=True)
 
 
 def g_prime_limit_at_1(p: Params) -> float:
@@ -223,21 +334,16 @@ def g_prime_limit_at_1(p: Params) -> float:
 
 
 def _h(m, p, x):
-    return _h_at(m, x, m.acos(x))
-
-
-def _h_at(m, x, ac):
-    """h at x given ac = arccos x, so g'' can reuse its arccos."""
-    return ac * ac + x * m.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
+    return m.h(x, m.acos(x))
 
 
 def _q(m, p, x):
-    return 3 * x * m.sqrt((1 - x) * (1 + x)) / (1 + 2 * x * x) - m.acos(x)
+    return m.q(x, m.acos(x))
 
 
 def _g_second(m, p, x):
     ac = m.acos(x)
-    return _h_at(m, x, ac) / (((1 - x) * (1 + x)) ** 1.5 * ac**3)
+    return m.h(x, ac) / (((1 - x) * (1 + x)) ** 1.5 * ac**3)
 
 
 def _big_g(m, p, x):
@@ -245,12 +351,7 @@ def _big_g(m, p, x):
     return m.acos(x) - top / (1 + m.sqrt(2 * (x + 1)))
 
 
-_CHAIN = {
-    "h": (_h, CHAIN_PROMOTE),
-    "q": (_q, CHAIN_PROMOTE),
-    "g_second": (_g_second, CHAIN_PROMOTE),
-    "big_g": (_big_g, ENDPOINT_PROMOTE),
-}
+_CHAIN = {"h": _h, "q": _q, "g_second": _g_second, "big_g": _big_g}
 
 
 def chain_eval(which: str, pt: EvalPoint):
@@ -263,8 +364,7 @@ def chain_eval(which: str, pt: EvalPoint):
     """
     if which not in _CHAIN:
         raise ValueError(f"unknown chain function {which!r}; expected one of {CHAIN_SELECTORS}")
-    expr, band = _CHAIN[which]
-    return _evaluate(pt, expr, None, include_zero=True, band=band)
+    return _evaluate(pt, _CHAIN[which], None, include_zero=True)
 
 
 # ---------------------------------------------------------------------------

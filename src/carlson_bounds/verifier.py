@@ -24,8 +24,8 @@ from mpmath.libmp import from_float, mpf_div, mpf_le, mpf_sub, to_float
 
 from . import bounds as bnd
 from . import family
-from .classifier import RegionClass
-from .family import EvalPoint, Params
+from .classifier import RegionClass, _disc_quadratic
+from .family import _F64, EvalPoint, Params
 from .oracle import _check_digits, acos_mp, default_digits, hp_context
 
 STRICT_MARGIN = 1e-30
@@ -377,8 +377,6 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
     witnesses = []
 
     # (i) closed discriminant form vs quadratic-coefficient form
-    from .classifier import extrema_points
-
     disc_worst = math.inf
     count = 0
     while count < n:
@@ -387,12 +385,13 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
         if abs(a - b) < 1e-6:
             continue  # the quadratic degenerates at a = b
         count += 1
-        rep = extrema_points(Params(a, b))
-        allowance = 1e-10 * max(1.0, abs(rep.disc_closed))
-        margin = allowance - abs(rep.disc_closed - rep.disc_quadratic)
+        p = Params(a, b)
+        closed = family._envelope_disc(_F64, p)
+        gap = abs(closed - _disc_quadratic(p))
+        margin = 1e-10 * max(1.0, abs(closed)) - gap
         disc_worst = min(disc_worst, margin)
         if margin <= 0.0:
-            witnesses.append(([a, b], f"discriminant forms differ by {abs(rep.disc_closed - rep.disc_quadratic)!r}"))
+            witnesses.append(([a, b], f"discriminant forms differ by {gap!r}"))
     margins.append(disc_worst)
 
     # (ii)+(iii) side-by-side structure of the four concrete inequalities

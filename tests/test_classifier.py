@@ -204,6 +204,20 @@ def test_both_classifiers_right_within_3e_17_of_exact_boundary():
     assert not wrong, (len(wrong), wrong[:5])
 
 
+def test_both_classifiers_match_independent_solve_near_one_third():
+    # a-b within 1e-5 of 1/3 puts the zero of g' within 2.3e-4 of x = 1,
+    # where float64 g' is the series of k(theta); within 1e-12 of s*(d) both
+    # classifiers must give the class of the 50-digit solve
+    rng = random.Random(1313)
+    for _ in range(200):
+        d = ONE_THIRD + 10 ** rng.uniform(-13, -5)
+        off = math.copysign(10 ** rng.uniform(-16, -12), rng.random() - 0.5)
+        a, b = _pair_at(d, _s_star50(d), off)
+        want = _window_class(a, b)
+        for classify in (classify_numeric, classify_symbolic):
+            assert classify(Params(a, b)) is want, (classify.__name__, a, b, off)
+
+
 def _count_hp_calls(monkeypatch):
     """Digits of every family.g_prime_eval / chain_eval call, as they happen."""
     from carlson_bounds import family
@@ -399,10 +413,11 @@ def test_g_second_falls_to_its_infimum():
     assert 0 < vals[-1] - _G2_INF < 1e-8
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-16])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-13, 1e-16])
 def test_critical_point_within_tol_of_zero(tol):
-    # d from 1e-6 above 1/3, where the zero sits within 3e-5 of x = 1 and
-    # float64 g' resolves it only to about 5e-11, to 1e-6 below 4/pi**2
+    # d from 1e-6 above 1/3, where the zero sits within 3e-5 of x = 1, to
+    # 1e-6 below 4/pi**2; float64 g' resolves the zero to about 1e-13, the
+    # finest tol met without the 40-digit polish
     ds = [ONE_THIRD + 10.0**-k for k in range(2, 7)]
     ds += [ONE_THIRD + (FOUR_OVER_PI_SQ - ONE_THIRD) * i / 12 for i in range(1, 12)]
     ds.append(FOUR_OVER_PI_SQ - 1e-6)

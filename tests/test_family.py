@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
+from carlson_bounds import family
 from carlson_bounds.family import (
-    CHAIN_PROMOTE,
     CHAIN_SELECTORS,
     ENDPOINT_PROMOTE,
-    GPRIME_PROMOTE,
     EvalPoint,
     Params,
     big_f_eval,
@@ -24,7 +23,7 @@ from carlson_bounds.family import (
     g_prime_eval,
     g_prime_limit_at_1,
 )
-from carlson_bounds.oracle import acos_mp
+from carlson_bounds.oracle import acos_mp, default_digits
 
 HP = 40
 
@@ -122,8 +121,9 @@ def test_g_prime_limit_at_1():
     assert g_prime_limit_at_1(Params(0.5, 0.14)) == pytest.approx(0.36 - 1 / 3, rel=1e-12)
 
 
-def test_g_prime_float64_promotes_near_one():
-    # the two blow-up terms cancel; a naive double evaluation returns garbage
+def test_g_prime_float64_accurate_near_one():
+    # the closed form's two terms of size 1/(1-x) cancel here; float64 g'
+    # takes k(theta)'s series instead (or, inside the band, 40 digits)
     v = g_prime_eval(Params(0.5, 1 / 6), EvalPoint(1.0 - 1e-8))
     assert v == pytest.approx(-2.0e-8 / 45.0, rel=1e-2)
 
@@ -304,31 +304,18 @@ def test_derivative_factorizations():
 
 _P = Params(0.7, 0.2)
 
-
-def _g_prime_terms(x):
-    # size of the two terms of g' that cancel as x -> 1
-    ac = math.acos(x)
-    return 1.0 / ac**2 + x / (math.sqrt(1.0 - x * x) * ac)
-
-
-def _g_second_terms(x):
-    # size of h's terms (which cancel to O((1-x)**3)) over g''s denominator
-    ac, s = math.acos(x), math.sqrt(1.0 - x * x)
-    return (ac * ac + x * s * ac + 2.0 * s * s) / (s**3 * ac**3)
-
-
-# every evaluator, with the band near x = 1 where float64 requests promote
-# and, where its terms cancel, the size of those terms
+# every evaluator; float64 requests within ENDPOINT_PROMOTE of either end
+# promote to the default digits
 _EVALUATORS = {
-    "f": (lambda pt: f_eval(_P, pt), ENDPOINT_PROMOTE, None),
-    "g": (lambda pt: g_eval(_P, pt), ENDPOINT_PROMOTE, None),
-    "g_prime": (lambda pt: g_prime_eval(_P, pt), GPRIME_PROMOTE, _g_prime_terms),
-    "h": (lambda pt: chain_eval("h", pt), CHAIN_PROMOTE, None),
-    "q": (lambda pt: chain_eval("q", pt), CHAIN_PROMOTE, None),
-    "g_second": (lambda pt: chain_eval("g_second", pt), CHAIN_PROMOTE, _g_second_terms),
-    "big_g": (lambda pt: chain_eval("big_g", pt), ENDPOINT_PROMOTE, None),
-    "envelope": (lambda pt: envelope_eval(_P, pt), ENDPOINT_PROMOTE, None),
-    "big_f": (lambda pt: big_f_eval(pt), ENDPOINT_PROMOTE, None),
+    "f": lambda pt: f_eval(_P, pt),
+    "g": lambda pt: g_eval(_P, pt),
+    "g_prime": lambda pt: g_prime_eval(_P, pt),
+    "h": lambda pt: chain_eval("h", pt),
+    "q": lambda pt: chain_eval("q", pt),
+    "g_second": lambda pt: chain_eval("g_second", pt),
+    "big_g": lambda pt: chain_eval("big_g", pt),
+    "envelope": lambda pt: envelope_eval(_P, pt),
+    "big_f": lambda pt: big_f_eval(pt),
 }
 
 
@@ -336,26 +323,95 @@ _EVALUATORS = {
 def test_float64_requests_promote_near_endpoints(name):
     # each formula is written once for both backends, so a wrong backend
     # mapping shows as float64 and 40-digit values that drift apart.  Outside
-    # the bands they agree to 1e-12*max(1, |v|), except that a cancelling
-    # sum can be no better than a few ulps of its terms: 2e-12 for g' at
-    # 1 - 1e-4, and 4e-5 relative for g'' just outside CHAIN_PROMOTE
-    fn, band, terms = _EVALUATORS[name]
-    inside = [1.0 - 0.1 * band, ENDPOINT_PROMOTE]
+    # the band they agree to 1e-12*max(1, |v|); inside it the float64
+    # request is the default-digit value
+    fn = _EVALUATORS[name]
+    band = ENDPOINT_PROMOTE
+    inside = [1.0 - 0.1 * band, band]
     rng = random.Random(11)
-    outside = [math.nextafter(1.0 - band, 0.0), 2.0 * ENDPOINT_PROMOTE]
-    outside += [rng.uniform(ENDPOINT_PROMOTE, 1.0 - band) for _ in range(200)]
+    outside = [math.nextafter(1.0 - band, 0.0), 2.0 * band]
+    outside += [rng.uniform(band, 1.0 - band) for _ in range(200)]
     outside += [1.0 - 10.0 ** rng.uniform(math.log10(band), 0.0) for _ in range(100)]
     for x in inside:
         v64 = fn(EvalPoint(x))
         assert isinstance(v64, float)
-        assert v64 == pytest.approx(float(fn(hp_pt(x))), rel=1e-12)
+        assert v64 == float(fn(hp_pt(x, default_digits())))
     for x in outside:
         v64 = fn(EvalPoint(x))
         vhp = float(fn(hp_pt(x)))
-        tol = 1e-12 * max(1.0, abs(vhp))
-        if terms is not None:
-            tol = max(tol, 16.0 * math.ulp(1.0) * terms(x))
-        assert abs(v64 - vhp) <= tol, (x, v64, vhp)
+        assert abs(v64 - vhp) <= 1e-12 * max(1.0, abs(vhp)), (x, v64, vhp)
+
+
+def _chain_points():
+    """x = 1 - k*2**-53, 1 - x log-spread down to the band, and ulp ladders
+    below the band and across cos(theta0), where the kernels change form."""
+    rng = random.Random(53)
+    xs = [1.0 - k * 2.0**-53 for k in range(1, 65)]
+    xs += [1.0 - math.floor(10.0 ** rng.uniform(2.0, 8.0)) * 2.0**-53 for _ in range(200)]
+    xs += [1.0 - 10.0 ** rng.uniform(math.log10(ENDPOINT_PROMOTE), 0.0) for _ in range(400)]
+    xs += [rng.uniform(0.0, 1.0) for _ in range(100)]
+    for x0 in (1.0 - ENDPOINT_PROMOTE, math.cos(family._THETA0)):
+        for k in range(-40, 41):
+            xs.append(x0 + k * math.ulp(x0))
+    return xs
+
+
+# chain expression, its evaluator, whether its bound against 50 digits is
+# relative, and that bound
+_CHAIN_F64 = {
+    "g_prime": (family._g_prime, lambda pt: g_prime_eval(_P, pt), False, 4e-15),
+    "h": (family._h, lambda pt: chain_eval("h", pt), True, 1e-12),
+    "q": (family._q, lambda pt: chain_eval("q", pt), True, 1e-12),
+    "g_second": (family._g_second, lambda pt: chain_eval("g_second", pt), True, 1e-12),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_F64))
+def test_float64_chain_matches_50_digits(name):
+    # the float64 kernels are series in theta below theta0 and the closed
+    # forms above it; the expression itself, the promotion band bypassed,
+    # stays within 4e-15 absolute for g' and 1e-12 relative for h, q and g''
+    # of 50 digits (the closed forms alone lose every digit at 1 - 2**-53)
+    expr, fn, relative, bound = _CHAIN_F64[name]
+    for x in _chain_points():
+        v64 = expr(family._F64, _P, x)
+        ref = float(fn(hp_pt(x, 50)))
+        err = abs(v64 - ref) / (abs(ref) if relative else 1.0)
+        assert err <= bound, (x, v64, ref)
+        if 2.0 * ENDPOINT_PROMOTE <= x <= 1.0 - ENDPOINT_PROMOTE:
+            assert fn(EvalPoint(x)) == v64, x
+
+
+def test_chain_series_coefficients_match_50_digits():
+    # k(theta) = sum 2**(2n) |B_2n| / (2n)! theta**(2n-2), and q / theta**5
+    # from the power series of 3 sin(2t)/2 / (2 + cos(2t)) - t
+    with workdps(50):
+        for n, c in enumerate(family._K, start=1):
+            assert c == float(2 ** (2 * n) * abs(mp.bernoulli(2 * n)) / mp.factorial(2 * n)), n
+        size = 2 * len(family._Q) + 5
+        num = [0 if i % 2 == 0 else mpf(3) / 2 * (-4) ** (i // 2) * 2 / mp.factorial(i) for i in range(size)]
+        den = [(-4) ** (i // 2) / mp.factorial(i) if i % 2 == 0 else 0 for i in range(size)]
+        den[0] += 2
+        ser = []
+        for i in range(size):
+            ser.append((num[i] - mp.fsum(ser[j] * den[i - j] for j in range(i))) / den[0])
+        ser[1] -= 1
+        assert max(abs(c) for c in ser[:5]) < mpf("1e-45")
+        for j, c in enumerate(family._Q):
+            assert c == float(ser[5 + 2 * j]), j
+
+
+@pytest.mark.parametrize("digits", [-20, 0, 16, 201, 10**6])
+def test_digits_outside_the_oracle_range_raise(digits, monkeypatch):
+    # rejected before a working precision is set: no high-precision region
+    # (and so no long computation at 10**6 digits) starts
+    def no_region(_digits):
+        raise AssertionError("high-precision region entered")
+
+    monkeypatch.setattr(family, "hp_context", no_region)
+    for fn in _EVALUATORS.values():
+        with pytest.raises(ValueError, match="precision must be in"):
+            fn(EvalPoint(0.5, digits=digits))
 
 
 def test_string_points_survive_at_high_precision():
