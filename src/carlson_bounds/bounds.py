@@ -55,7 +55,7 @@ from mpmath.libmp import (
 from . import classifier, family
 from .classifier import TWO_OVER_PI
 from .family import _F64, _MP, TWO_SQRT2, Params
-from .oracle import DEFAULT_DIGITS, _check_digits, arccos_hp, const_hp, default_digits
+from .oracle import DEFAULT_DIGITS, arccos_hp, const_hp, resolve_digits
 
 ONE_SIXTH = 1.0 / 6.0
 B_STAR = TWO_OVER_PI - 0.5  # sharp reversed-family threshold 2/pi - 1/2
@@ -461,15 +461,13 @@ def bound_table(x_grid, enabled=None, digits: int | None = None) -> list[dict]:
     The grid must be strictly increasing inside (0,1).  The reference column
     is arccos at `digits` (default 40) rounded to a double.
     """
-    if digits is None:
-        digits = default_digits()
+    digits = resolve_digits(digits)
     xs = [float(x) for x in x_grid]
     if any(not 0.0 < x < 1.0 for x in xs):
         raise ValueError("grid points must lie in (0,1)")
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError("grid must be strictly increasing")
     fams = DEFAULT_FAMILIES if enabled is None else _validated(enabled)
-    _check_digits(digits)
     rows = []
     for x in xs:
         lower, upper, lower_family, upper_family = _envelope(x, fams)

@@ -290,8 +290,8 @@ _TOP_MARGIN = _top_margin()
 
 
 def _g_prime_zero64(p: Params):
-    """Float64 zero of g' in (0, _TOP) for p in the window; None when g'(_TOP) <= 0."""
-    if family._g_prime_at_1(_F64, p) <= _TOP_MARGIN and family.g_prime_eval(p, EvalPoint(_TOP)) <= 0:
+    """Float64 zero of g' in (0, _TOP) for p in the window; None when g'(_TOP) <= 0 at 40 digits."""
+    if family._g_prime_at_1(_F64, p) <= _TOP_MARGIN and family.g_prime_eval(p, EvalPoint(_TOP, 40)) <= 0:
         return None
     return _g_prime_root(p, 0.0, _TOP, 1e-12)
 
@@ -391,7 +391,7 @@ def critical_point_g(p: Params, tol: float) -> float | None:
     _, _, lo_sign, hi_sign = _edge_signs(p, tol)
     if lo_sign >= 0 or hi_sign <= 0:
         return None
-    if float(family.g_prime_eval(p, EvalPoint(tol))) >= 0.0:
+    if family.g_prime_eval(p, EvalPoint(tol)) >= 0.0:
         return None
     if family.g_prime_eval(p, EvalPoint(1.0 - tol)) <= 0:
         return None

@@ -17,7 +17,7 @@ from dataclasses import asdict
 from . import bounds as bnd
 from . import classifier, verifier
 from .family import Params
-from .oracle import default_digits
+from .oracle import resolve_digits
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -137,7 +137,7 @@ def run_approx(args) -> int:
 
 
 def run_verify(args) -> int:
-    digits = args.precision if args.precision is not None else default_digits()
+    digits = resolve_digits(args.precision)
     reports = verifier.default_suite(seed=args.seed, digits=digits)
     if args.format == "csv":
         out = io.StringIO()

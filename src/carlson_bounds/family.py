@@ -27,14 +27,16 @@ The chain cancels as x -> 1.  With theta = arccos x,
         = theta**3 * sin(theta)**2 * k'(theta)                  ~ 2*theta**6/45,
     q   = 3*sin(theta)*cos(theta)/(1 + 2*cos(theta)**2) - theta  ~ -4*theta**5/45,
     g'' = h / (sin(theta)**3 * theta**3),
+    G   = theta - 2*sin(theta/2)*(2 + cos(theta/2))/(1 + 2*cos(theta/2))
+                                                                ~ -theta**5/720,
 
-so the backend supplies the three cancelling kernels minus_k (d - k for
-d = a-b), h and q, each a function of x and theta.  _MP's are the closed
-forms in x.  _F64's are Taylor polynomials in theta**2 below _THETA0 = 0.6
-(x above cos 0.6 = 0.825) and the same closed forms above it.  Against 50
-digits they err on [0, 1) by under 1.5e-15 absolute for g' and 1.5e-13
-relative for h, q and g'', largest just above _THETA0, and by a few ulps below
-it (test_float64_chain_matches_50_digits).
+so the backend supplies the four cancelling kernels minus_k (d - k for
+d = a-b), h, q and big_g of x and theta, each written once in closed form
+over the backend; _MP's are those.  _F64's minus_k, h and q are Taylor
+polynomials in theta**2 below _THETA0 = 0.6 (x above 0.825), and its big_g
+one on all of [0, pi/2].  Against 50 digits g' errs by under 1.5e-15
+absolute, h, q and g'' by 1.5e-13 relative and G by 1.5e-15, so a float64
+request stays in float64: no lock, and mpmath's precision is not read.
 """
 
 from __future__ import annotations
@@ -46,20 +48,16 @@ from types import SimpleNamespace
 
 from mpmath import mp, mpf
 
-from .oracle import _check_digits, acos_mp, arccos_stable, default_digits, hp_context
+from .oracle import acos_mp, arccos_stable, hp_context, resolve_digits
 
-# float64 evaluations this close to an endpoint are computed at the default
-# high precision instead: 1 - x**2 style cancellation destroys doubles there
-ENDPOINT_PROMOTE = 1e-8
-
-# kept only for perfbench/tracer.py, which reads them; ROADMAP item 5 deletes both
-GPRIME_PROMOTE = CHAIN_PROMOTE = ENDPOINT_PROMOTE
+# 0.0: nothing is promoted, and perfbench/tracer.py reads these (ROADMAP item 5)
+ENDPOINT_PROMOTE = GPRIME_PROMOTE = CHAIN_PROMOTE = 0.0
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 CHAIN_SELECTORS = ("h", "q", "g_second", "big_g")
 
-# below this theta = arccos x the float64 chain kernels take their series
+# below this theta = arccos x the float64 g', h and q kernels take their series
 _THETA0 = 0.6
 
 # _K[n] = 2**(2n+2) |B_(2n+2)| / (2n+2)!, the coefficient of theta**(2n) in
@@ -105,11 +103,34 @@ _Q = (
     -1.6591126990763634e-09,
     -3.3095718448047333e-10,
 )
+# G(theta) / theta**5 in powers of theta**2; its poles at +-4pi/3 set the
+# decay, and at pi/2 the first omitted term is 5e-16 of the sum (all terms < 0)
+_G = (
+    -0.001388888888888889,
+    -6.200396825396825e-05,
+    -3.6168981481481483e-06,
+    -2.0566867626329432e-07,
+    -1.1720279122080337e-08,
+    -6.679440925928013e-10,
+    -3.806781410654927e-11,
+    -2.1695990324380155e-12,
+    -1.236522289305396e-13,
+    -7.0473307246694996e-15,
+    -4.0164967047503157e-16,
+    -2.289128600659282e-17,
+    -1.3046468550766971e-18,
+    -7.435595446835172e-20,
+    -4.237781240403894e-21,
+    -2.415245688429031e-22,
+    -1.376524979640065e-23,
+    -7.84525163906226e-25,
+)
 # the series as _poly takes them, from the highest power down; _KP_DESC is
 # k'(theta) / theta = sum over n >= 1 of 2n * _K[n] * theta**(2n-2)
 _K_DESC = _K[::-1]
 _KP_DESC = tuple(2 * n * c for n, c in enumerate(_K) if n)[::-1]
 _Q_DESC = _Q[::-1]
+_G_DESC = _G[::-1]
 
 
 def _poly(desc, t):
@@ -120,41 +141,50 @@ def _poly(desc, t):
     return acc
 
 
-# the chain kernels, as functions of x and ac = arccos x: _MP's are the
-# closed forms, and _F64's take the series below _THETA0 and the same
-# closed forms above it
+# the chain kernels in closed form, over the backend m, x and ac = arccos x;
+# _MP's kernels are these, and _F64's take a series where these cancel
 
 
-def _minus_k_mp(d, x, ac):
-    return d - 1 / (ac * ac) + x / (mp.sqrt((1 - x) * (1 + x)) * ac)
+def _minus_k_closed(m, d, x, ac):
+    return d - 1 / (ac * ac) + x / (m.sqrt((1 - x) * (1 + x)) * ac)
 
 
-def _h_mp(x, ac):
-    return ac * ac + x * mp.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
+def _h_closed(m, x, ac):
+    return ac * ac + x * m.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
 
 
-def _q_mp(x, ac):
-    return 3 * x * mp.sqrt((1 - x) * (1 + x)) / (1 + 2 * x * x) - ac
+def _q_closed(m, x, ac):
+    return 3 * x * m.sqrt((1 - x) * (1 + x)) / (1 + 2 * x * x) - ac
+
+
+def _big_g_closed(m, x, ac):
+    top = (m.sqrt(1 + x) + 2 * m.sqrt(2)) * m.sqrt(1 - x)
+    return ac - top / (1 + m.sqrt(2 * (x + 1)))
 
 
 def _minus_k64(d, x, ac):
     if ac < _THETA0:
         return d - _poly(_K_DESC, ac * ac)
-    return d - 1 / (ac * ac) + x / (math.sqrt((1 - x) * (1 + x)) * ac)
+    return _minus_k_closed(_F64, d, x, ac)
 
 
 def _h64(x, ac):
     if ac < _THETA0:
         t = ac * ac
         return (1 - x) * (1 + x) * t * t * _poly(_KP_DESC, t)
-    return ac * ac + x * math.sqrt((1 - x) * (1 + x)) * ac + 2 * (x - 1) * (x + 1)
+    return _h_closed(_F64, x, ac)
 
 
 def _q64(x, ac):
     if ac < _THETA0:
         t = ac * ac
         return ac * t * t * _poly(_Q_DESC, t)
-    return 3 * x * math.sqrt((1 - x) * (1 + x)) / (1 + 2 * x * x) - ac
+    return _q_closed(_F64, x, ac)
+
+
+def _big_g64(x, ac):
+    t = ac * ac
+    return ac * t * t * _poly(_G_DESC, t)
 
 
 _F64 = SimpleNamespace(
@@ -167,6 +197,7 @@ _F64 = SimpleNamespace(
     minus_k=_minus_k64,
     h=_h64,
     q=_q64,
+    big_g=_big_g64,
 )
 _MP = SimpleNamespace(
     num=mpf,
@@ -175,9 +206,10 @@ _MP = SimpleNamespace(
     exp=mp.exp,
     acos=lambda x: acos_mp(x),
     pi=mp.pi,
-    minus_k=_minus_k_mp,
-    h=_h_mp,
-    q=_q_mp,
+    minus_k=lambda d, x, ac: _minus_k_closed(_MP, d, x, ac),
+    h=lambda x, ac: _h_closed(_MP, x, ac),
+    q=lambda x, ac: _q_closed(_MP, x, ac),
+    big_g=lambda x, ac: _big_g_closed(_MP, x, ac),
 )
 
 
@@ -197,8 +229,7 @@ class Params:
 class EvalPoint:
     """Evaluation point with requested precision.
 
-    digits=None means float64, computed at the default high precision
-    instead within ENDPOINT_PROMOTE of either endpoint; an integer in
+    digits=None means float64, on the whole domain; an integer in
     [MIN_DIGITS, MAX_DIGITS] requests that many decimal digits, and any other
     raises ValueError when the point is evaluated.  x may be a float, mpf, or
     decimal string so callers can state points like 1 - 1e-30 exactly.
@@ -208,35 +239,23 @@ class EvalPoint:
     digits: int | None = None
 
 
-def _domain_error(x, lo_txt: str, hi_txt: str):
-    raise ValueError(f"x must be in {lo_txt}0, 1{hi_txt}, got {x}")
+def _in_domain(v, x, include_zero: bool):
+    """v, the point x in the precision it carries, checked to lie in [0,1) or (0,1)."""
+    if not ((v >= 0 if include_zero else v > 0) and v < 1):
+        raise ValueError(f"x must be in {'[' if include_zero else '('}0, 1), got {x}")
+    return v
 
 
 def _evaluate(pt: EvalPoint, expr, p: Params | None, include_zero: bool):
-    """expr(m, p, x) with the float64 or the high-precision backend m.
+    """expr(m, p, x) with m = _F64 for a float64 request, else _MP in hp_context.
 
     Domain is [0,1) when include_zero else (0,1); checks run on the value in
     the precision the point carries, so string/mpf points survive intact.
-    float64 requests within ENDPOINT_PROMOTE of x = 0 or x = 1 are silently
-    computed at the default high precision.
     """
-    lo_txt, hi_txt = ("[", ")") if include_zero else ("(", ")")
     if pt.digits is not None:
-        _check_digits(pt.digits)
-        with hp_context(pt.digits):
-            xm = mpf(pt.x)
-            ok = (xm >= 0 if include_zero else xm > 0) and xm < 1
-            if not ok:
-                _domain_error(pt.x, lo_txt, hi_txt)
-            return expr(_MP, p, xm)
-    x = float(pt.x)
-    ok = (x >= 0.0 if include_zero else x > 0.0) and x < 1.0
-    if not ok:
-        _domain_error(pt.x, lo_txt, hi_txt)
-    if (0.0 < x <= ENDPOINT_PROMOTE) or (1.0 - x <= ENDPOINT_PROMOTE):
-        with hp_context(default_digits()):
-            return float(expr(_MP, p, mpf(pt.x)))
-    return expr(_F64, p, x)
+        with hp_context(resolve_digits(pt.digits)):
+            return expr(_MP, p, _in_domain(mpf(pt.x), pt.x, include_zero))
+    return expr(_F64, p, _in_domain(float(pt.x), pt.x, include_zero))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +272,8 @@ def f_eval(p: Params, pt: EvalPoint):
 
 
 def f64(p: Params, x: float) -> float:
-    """f in float64 at x in (0,1), with neither domain checks nor endpoint
-    promotion; an overflowing exp gives inf, as IEEE arithmetic would."""
+    """f in float64 at x in (0,1), without domain checks; an overflowing exp
+    gives inf, as IEEE arithmetic would."""
     try:
         return _f(_F64, p, x)
     except OverflowError:
@@ -294,20 +313,12 @@ def _g_prime_at_1(m, p):
     return m.num(p.a) - m.num(p.b) - m.num(1.0) / 3
 
 
-def _exact_zero(pt: EvalPoint) -> EvalPoint:
-    """pt moved onto x = 0 when float(x) is 0, where the closed forms at 0 apply."""
-    try:
-        return EvalPoint(0.0, pt.digits) if float(pt.x) == 0.0 else pt
-    except (TypeError, ValueError):
-        return pt
-
-
 def g_eval(p: Params, pt: EvalPoint):
     """g(a,b; x) = a + b + (a-b)*x - sqrt(1-x**2)/arccos x, x in [0,1).
 
     At x == 0 the closed form a + b - 2/pi is returned directly.
     """
-    return _evaluate(_exact_zero(pt), _g, p, include_zero=True)
+    return _evaluate(pt, _g, p, include_zero=True)
 
 
 def g_limit_at_1(p: Params) -> float:
@@ -321,7 +332,7 @@ def g_prime_eval(p: Params, pt: EvalPoint):
     At x == 0 the closed form a - b - 4/pi**2 is returned directly; the
     x -> 1- limit a - b - 1/3 is delivered by g_prime_limit_at_1.
     """
-    return _evaluate(_exact_zero(pt), _g_prime, p, include_zero=True)
+    return _evaluate(pt, _g_prime, p, include_zero=True)
 
 
 def g_prime_limit_at_1(p: Params) -> float:
@@ -347,8 +358,7 @@ def _g_second(m, p, x):
 
 
 def _big_g(m, p, x):
-    top = (m.sqrt(1 + x) + 2 * m.sqrt(2)) * m.sqrt(1 - x)
-    return m.acos(x) - top / (1 + m.sqrt(2 * (x + 1)))
+    return m.big_g(x, m.acos(x))
 
 
 _CHAIN = {"h": _h, "q": _q, "g_second": _g_second, "big_g": _big_g}

@@ -52,17 +52,20 @@ def default_digits() -> int:
     except ValueError:
         raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     try:
-        _check_digits(digits)
+        return resolve_digits(digits)
     except ValueError as exc:
         raise ValueError(f"{PRECISION_ENV}: {exc}") from None
-    return digits
 
 
-def _check_digits(digits: int) -> None:
+def resolve_digits(digits: int | None) -> int:
+    """default_digits() for None, else digits, which must lie in [MIN_DIGITS, MAX_DIGITS]."""
+    if digits is None:
+        return default_digits()
     if not MIN_DIGITS <= digits <= MAX_DIGITS:
         raise ValueError(
             f"precision must be in [{MIN_DIGITS}, {MAX_DIGITS}] digits, got {digits}"
         )
+    return digits
 
 
 # mpmath's default context is process-global, so concurrent callers at mixed
@@ -118,9 +121,7 @@ def arccos_hp(x, digits: int | None = None) -> HPValue:
     computed at digits + GUARD_DIGITS with the precision passed explicitly,
     so it neither reads nor sets mpmath's global precision and takes no lock.
     """
-    if digits is None:
-        digits = default_digits()
-    _check_digits(digits)
+    digits = resolve_digits(digits)
     prec = dps_to_prec(digits + GUARD_DIGITS)
     if isinstance(x, float):
         if not -1.0 <= x <= 1.0:
@@ -149,9 +150,7 @@ def const_hp(name: str, digits: int | None = None) -> HPValue:
     square-root-kernel double inequality; CBRT4 is the sharp upper constant
     of the classic Carlson inequality (equals 2**(1/6 + 1/2)).
     """
-    if digits is None:
-        digits = default_digits()
-    _check_digits(digits)
+    digits = resolve_digits(digits)
     if name not in CONSTANT_NAMES:
         raise ValueError(f"unknown constant {name!r}; expected one of {CONSTANT_NAMES}")
     with hp_context(digits):

@@ -26,7 +26,7 @@ from . import bounds as bnd
 from . import family
 from .classifier import RegionClass, _disc_quadratic
 from .family import _F64, EvalPoint, Params
-from .oracle import _check_digits, acos_mp, default_digits, hp_context
+from .oracle import acos_mp, hp_context, resolve_digits
 
 STRICT_MARGIN = 1e-30
 _SAMPLE_EDGE = 1e-12
@@ -99,14 +99,13 @@ def check_containment(
     rounding, as the mpf operators take them, and compared exactly with
     STRICT_MARGIN, converted once.
     """
+    digits = resolve_digits(digits)
     fams = tuple(fams)
     if n < 1000:
         raise ValueError(f"need n >= 1000 samples, got {n}")
     for fam in fams:
         if fam.kind not in bnd.FAMILY_KINDS:
             raise ValueError(f"invalid family kind {fam.kind!r}")
-    if digits is None:
-        digits = default_digits()
     pts = _containment_points(n, endpoint_depth, seed)
     worst = [math.inf] * len(fams)
     witnesses = [[] for _ in fams]
@@ -164,14 +163,12 @@ def scan_pattern(p: Params, n: int, digits: int | None = None):
 
     Returns (pattern, x, f): pattern is a tuple of +1/-1, x the grid
     i/(n+1) for i = 1..n and f its float64 values, both tuples of floats.
-    The values come from the family formula (family.f64) without endpoint
-    promotion.  Differences below 1e-12 relative are re-decided at high
-    precision, so shallow extrema (and near-1 comparisons on huge f values)
-    are resolved exactly; differences still below 1e-30 relative there
-    count as flat.
+    The values come from the family formula in float64 (family.f64).
+    Differences below 1e-12 relative are re-decided at high precision, so
+    shallow extrema (and near-1 comparisons on huge f values) are resolved
+    exactly; differences still below 1e-30 relative there count as flat.
     """
-    if digits is None:
-        digits = default_digits()
+    digits = resolve_digits(digits)
     x = tuple([i / (n + 1.0) for i in range(1, n + 1)])
     f = tuple([family.f64(p, xi) for xi in x])
     pattern = []
@@ -220,10 +217,9 @@ def check_class(p: Params, expected: RegionClass, n: int, digits: int | None = N
 
 def check_sign_chain(n: int, digits: int | None = None) -> VerificationReport:
     """q < 0 < h, g'' > 0 on [0, 1-1e-8]; q increasing, h decreasing; both -> 0 at 1."""
+    digits = resolve_digits(digits)
     if n < 1000:
         raise ValueError(f"need n >= 1000 samples, got {n}")
-    if digits is None:
-        digits = default_digits()
     top = 1.0 - 1e-8
     xs = [top * i / (n - 1) for i in range(n)]
     qv = [float(family.chain_eval("q", EvalPoint(x))) for x in xs]
@@ -270,12 +266,11 @@ def check_sharpness(kind: str, epsilon: float, digits: int | None = None) -> Ver
     the flip point is the witness.  For thm3_constants it pins F at the two
     endpoints to the claimed constants.
     """
+    digits = resolve_digits(digits)
     if kind not in SHARPNESS_KINDS:
         raise ValueError(f"unknown sharpness kind {kind!r}")
     if not 0.0 < epsilon <= 1e-2:
         raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
-    if digits is None:
-        digits = default_digits()
 
     if kind == "thm3_constants":
         sup_ref = float(family.big_f_eval(EvalPoint(1e-8, digits=digits)))
@@ -368,10 +363,9 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
     one loop per comparison, and they are reported in _comparisons() order,
     after the discriminant witnesses.
     """
+    digits = resolve_digits(digits)
     if n < 1000:
         raise ValueError(f"need n >= 1000 samples, got {n}")
-    if digits is None:
-        digits = default_digits()
     rng = random.Random(seed)
     margins = []
     witnesses = []
@@ -470,9 +464,7 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
 
 def default_suite(seed: int = 0, digits: int | None = None) -> list[VerificationReport]:
     """Every check at default sizes, deterministic in (seed, digits)."""
-    if digits is None:
-        digits = default_digits()
-    _check_digits(digits)
+    digits = resolve_digits(digits)
     containment = (
         bnd.carlson(),
         bnd.thm2(bnd.ONE_SIXTH),

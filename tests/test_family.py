@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,6 @@ from mpmath import mp, mpf, workdps
 from carlson_bounds import family
 from carlson_bounds.family import (
     CHAIN_SELECTORS,
-    ENDPOINT_PROMOTE,
     EvalPoint,
     Params,
     big_f_eval,
@@ -23,7 +23,7 @@ from carlson_bounds.family import (
     g_prime_eval,
     g_prime_limit_at_1,
 )
-from carlson_bounds.oracle import acos_mp, default_digits
+from carlson_bounds.oracle import acos_mp
 
 HP = 40
 
@@ -123,7 +123,7 @@ def test_g_prime_limit_at_1():
 
 def test_g_prime_float64_accurate_near_one():
     # the closed form's two terms of size 1/(1-x) cancel here; float64 g'
-    # takes k(theta)'s series instead (or, inside the band, 40 digits)
+    # takes k(theta)'s series instead
     v = g_prime_eval(Params(0.5, 1 / 6), EvalPoint(1.0 - 1e-8))
     assert v == pytest.approx(-2.0e-8 / 45.0, rel=1e-2)
 
@@ -304,8 +304,7 @@ def test_derivative_factorizations():
 
 _P = Params(0.7, 0.2)
 
-# every evaluator; float64 requests within ENDPOINT_PROMOTE of either end
-# promote to the default digits
+# every evaluator
 _EVALUATORS = {
     "f": lambda pt: f_eval(_P, pt),
     "g": lambda pt: g_eval(_P, pt),
@@ -319,40 +318,49 @@ _EVALUATORS = {
 }
 
 
+def _f64_bound(name, ref):
+    """Float64 error bound against 50 digits: absolute for g', relative for
+    the chain, and 1e-12*max(1, |v|) for the others."""
+    if name == "g_prime":
+        return 4e-15
+    if name in CHAIN_SELECTORS:
+        return 1e-12 * abs(ref)
+    return 1e-12 * max(1.0, abs(ref))
+
+
 @pytest.mark.parametrize("name", list(_EVALUATORS))
-def test_float64_requests_promote_near_endpoints(name):
-    # each formula is written once for both backends, so a wrong backend
-    # mapping shows as float64 and 40-digit values that drift apart.  Outside
-    # the band they agree to 1e-12*max(1, |v|); inside it the float64
-    # request is the default-digit value
+def test_float64_requests_promote_near_endpoints(name, monkeypatch):
+    # no float64 request is promoted: with hp_context unavailable every one
+    # stays in float64, at the endpoints as inside, and is within its bound
+    # of 50 digits; each formula is written once for both backends, so a
+    # wrong backend mapping would show here as well
     fn = _EVALUATORS[name]
-    band = ENDPOINT_PROMOTE
-    inside = [1.0 - 0.1 * band, band]
     rng = random.Random(11)
-    outside = [math.nextafter(1.0 - band, 0.0), 2.0 * band]
-    outside += [rng.uniform(band, 1.0 - band) for _ in range(200)]
-    outside += [1.0 - 10.0 ** rng.uniform(math.log10(band), 0.0) for _ in range(100)]
-    for x in inside:
+    xs = [5e-324, 1e-9, 1.0 - 1e-9, 1.0 - 2.0**-53]
+    xs += [rng.uniform(0.0, 1.0) for _ in range(200)]
+    xs += [1.0 - 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(100)]
+    refs = [float(fn(hp_pt(x, 50))) for x in xs]
+
+    def no_region(_digits):
+        raise AssertionError("float64 request entered a high-precision region")
+
+    monkeypatch.setattr(family, "hp_context", no_region)
+    for x, ref in zip(xs, refs):
         v64 = fn(EvalPoint(x))
         assert isinstance(v64, float)
-        assert v64 == float(fn(hp_pt(x, default_digits())))
-    for x in outside:
-        v64 = fn(EvalPoint(x))
-        vhp = float(fn(hp_pt(x)))
-        assert abs(v64 - vhp) <= 1e-12 * max(1.0, abs(vhp)), (x, v64, vhp)
+        assert abs(v64 - ref) <= _f64_bound(name, ref), (x, v64, ref)
 
 
 def _chain_points():
-    """x = 1 - k*2**-53, 1 - x log-spread down to the band, and ulp ladders
-    below the band and across cos(theta0), where the kernels change form."""
+    """x = 1 - k*2**-53, 1 - x log-spread down to 1e-16, small and uniform x,
+    and an ulp ladder across cos(theta0), where the kernels change form."""
     rng = random.Random(53)
     xs = [1.0 - k * 2.0**-53 for k in range(1, 65)]
     xs += [1.0 - math.floor(10.0 ** rng.uniform(2.0, 8.0)) * 2.0**-53 for _ in range(200)]
-    xs += [1.0 - 10.0 ** rng.uniform(math.log10(ENDPOINT_PROMOTE), 0.0) for _ in range(400)]
-    xs += [rng.uniform(0.0, 1.0) for _ in range(100)]
-    for x0 in (1.0 - ENDPOINT_PROMOTE, math.cos(family._THETA0)):
-        for k in range(-40, 41):
-            xs.append(x0 + k * math.ulp(x0))
+    xs += [1.0 - 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(400)]
+    xs += [0.0, 5e-324, 1e-300, 1e-9] + [rng.uniform(0.0, 1.0) for _ in range(100)]
+    x0 = math.cos(family._THETA0)
+    xs += [x0 + k * math.ulp(x0) for k in range(-40, 41)]
     return xs
 
 
@@ -363,28 +371,30 @@ _CHAIN_F64 = {
     "h": (family._h, lambda pt: chain_eval("h", pt), True, 1e-12),
     "q": (family._q, lambda pt: chain_eval("q", pt), True, 1e-12),
     "g_second": (family._g_second, lambda pt: chain_eval("g_second", pt), True, 1e-12),
+    "big_g": (family._big_g, lambda pt: chain_eval("big_g", pt), True, 1e-12),
 }
 
 
 @pytest.mark.parametrize("name", list(_CHAIN_F64))
 def test_float64_chain_matches_50_digits(name):
-    # the float64 kernels are series in theta below theta0 and the closed
-    # forms above it; the expression itself, the promotion band bypassed,
-    # stays within 4e-15 absolute for g' and 1e-12 relative for h, q and g''
-    # of 50 digits (the closed forms alone lose every digit at 1 - 2**-53)
+    # the float64 kernels are series in theta (below theta0 for g', h and
+    # q, everywhere for G) and the closed forms elsewhere; a float64 request
+    # is the expression itself, within 4e-15 absolute for g' and 1e-12
+    # relative for h, q, g'' and G of 50 digits (the closed forms alone
+    # lose every digit at 1 - 2**-53)
     expr, fn, relative, bound = _CHAIN_F64[name]
     for x in _chain_points():
         v64 = expr(family._F64, _P, x)
         ref = float(fn(hp_pt(x, 50)))
         err = abs(v64 - ref) / (abs(ref) if relative else 1.0)
         assert err <= bound, (x, v64, ref)
-        if 2.0 * ENDPOINT_PROMOTE <= x <= 1.0 - ENDPOINT_PROMOTE:
-            assert fn(EvalPoint(x)) == v64, x
+        assert fn(EvalPoint(x)) == v64, x
 
 
 def test_chain_series_coefficients_match_50_digits():
-    # k(theta) = sum 2**(2n) |B_2n| / (2n)! theta**(2n-2), and q / theta**5
-    # from the power series of 3 sin(2t)/2 / (2 + cos(2t)) - t
+    # k(theta) = sum 2**(2n) |B_2n| / (2n)! theta**(2n-2); q / theta**5
+    # from the power series of 3 sin(2t)/2 / (2 + cos(2t)) - t; and G / theta**5
+    # exactly, in rationals, from t - (4 sin(t/2) + sin(t)) / (1 + 2 cos(t/2))
     with workdps(50):
         for n, c in enumerate(family._K, start=1):
             assert c == float(2 ** (2 * n) * abs(mp.bernoulli(2 * n)) / mp.factorial(2 * n)), n
@@ -399,6 +409,19 @@ def test_chain_series_coefficients_match_50_digits():
         assert max(abs(c) for c in ser[:5]) < mpf("1e-45")
         for j, c in enumerate(family._Q):
             assert c == float(ser[5 + 2 * j]), j
+    size = 2 * len(family._G) + 5
+    scale = [(-1) ** (i // 2) * Fraction(1, 2**i * math.factorial(i)) for i in range(size)]
+    num = [(4 + 2**i) * c if i % 2 else 0 for i, c in enumerate(scale)]
+    den = [0 if i % 2 else 2 * c for i, c in enumerate(scale)]
+    den[0] += 1
+    ser = []
+    for i in range(size):
+        ser.append((num[i] - sum(ser[j] * den[i - j] for j in range(i))) / den[0])
+    ser = [-c for c in ser]
+    ser[1] += 1
+    assert ser[:6] == [0, 0, 0, 0, 0, Fraction(-1, 720)]
+    for j, c in enumerate(family._G):
+        assert c == float(ser[5 + 2 * j]), j
 
 
 @pytest.mark.parametrize("digits", [-20, 0, 16, 201, 10**6])
@@ -412,6 +435,15 @@ def test_digits_outside_the_oracle_range_raise(digits, monkeypatch):
     for fn in _EVALUATORS.values():
         with pytest.raises(ValueError, match="precision must be in"):
             fn(EvalPoint(0.5, digits=digits))
+
+
+def test_points_below_the_double_range_are_evaluated_where_they_lie():
+    # they are not moved onto x = 0: a negative one is outside [0, 1)
+    p = Params(0.5, 0.2)
+    for fn in (lambda pt: g_eval(p, pt), lambda pt: g_prime_eval(p, pt)):
+        with pytest.raises(ValueError):
+            fn(EvalPoint("-1e-400", 40))
+        assert abs(fn(EvalPoint("1e-400", 40)) - fn(EvalPoint(0.0, 40))) < mpf("1e-45")
 
 
 def test_string_points_survive_at_high_precision():

@@ -10,6 +10,7 @@ from mpmath import mp, mpf, workdps
 from mpmath.libmp import dps_to_prec, from_float, mpf_abs, mpf_div, mpf_sub, round_nearest, to_float
 
 from carlson_bounds.bounds import bound_table
+from carlson_bounds.family import EvalPoint, Params, chain_eval, f_eval, g_prime_eval
 from carlson_bounds.oracle import (
     CONSTANT_NAMES,
     GUARD_DIGITS,
@@ -195,13 +196,23 @@ def test_concurrent_mixed_precision_callers():
 
 def test_oracle_and_table_ignore_precision_set_by_another_thread():
     # another thread sets mpmath's global precision in a loop while this one
-    # calls arccos_hp and bound_table; every value must be bit-identical to
-    # the values computed with no other thread running
+    # calls arccos_hp, bound_table and float64 family evaluators within 1e-8
+    # of each end; every value must be bit-identical to the values computed
+    # with no other thread running
     xs = [(i + 1) / 41 for i in range(40)]
+    ends = [k * 1e-10 for k in range(1, 21)] + [1.0 - k * 1e-10 for k in range(1, 21)]
+    p = Params(0.7, 0.2)
+    evaluators = (
+        lambda pt: f_eval(p, pt),
+        lambda pt: g_prime_eval(p, pt),
+        lambda pt: chain_eval("q", pt),
+        lambda pt: chain_eval("big_g", pt),
+    )
 
     def compute():
         hp = [arccos_hp(x, d).value for d in (40, 100) for x in xs]
-        return hp, [bound_table(xs, None, d) for d in (40, 100)]
+        f64 = [fn(EvalPoint(x)) for fn in evaluators for x in ends]
+        return hp, [bound_table(xs, None, d) for d in (40, 100)], f64
 
     want = compute()
     stop = threading.Event()

@@ -331,6 +331,40 @@ def test_checks_are_deterministic_per_seed():
     assert c == d
 
 
+class _NoWork:
+    """Stands in for every module and helper the checks compute with."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"work started before the digits were checked ({name})")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("work started before the digits were checked")
+
+
+_CHECKS = {
+    "double_inequality": lambda d: check_double_inequality(carlson(), 1000, 10, digits=d),
+    "containment": lambda d: check_containment([carlson(), thm3()], 1000, 10, digits=d),
+    "scan_pattern": lambda d: scan_pattern(Params(0.5, 0.14), 256, d),
+    "class": lambda d: check_class(Params(0.5, 0.14), RegionClass.UNIQUE_MAX, 2048, d),
+    "sign_chain": lambda d: check_sign_chain(1000, d),
+    "sharpness": lambda d: check_sharpness("b_upper_1_6", 1e-3, d),
+    "identities": lambda d: check_identities(1000, digits=d),
+}
+
+
+@pytest.mark.parametrize("digits", [-1, 5, 16, 201])
+@pytest.mark.parametrize("check", list(_CHECKS))
+def test_checks_reject_digits_outside_the_oracle_range(check, digits, monkeypatch):
+    # at 5 digits a containment check reports false violations of a valid
+    # inequality, so each check raises before it computes anything
+    # (default_suite has its own test below)
+    call = _CHECKS[check]
+    for name in ("family", "bnd", "hp_context", "random"):
+        monkeypatch.setattr(verifier, name, _NoWork())
+    with pytest.raises(ValueError, match="precision must be in"):
+        call(digits)
+
+
 def test_default_suite_rejects_out_of_range_digits():
     for digits in (5, 16, 201):
         with pytest.raises(ValueError, match="precision must be in"):
