@@ -9,7 +9,10 @@ lower(x) < arccos x < upper(x) on (0,1):
   thm3            6*sqrt(1-x)/(2*sqrt(2)+sqrt(1+x)) .. (1/2+sqrt(2))*pi*sqrt(1-x)/(2*sqrt(2)+sqrt(1+x))
 
 plus the one-sided coefficient bounds thm2_maxcoef(a,b) (upper only) and
-thm2_mincoef(a,b) (lower only) built from the envelope extremum.
+thm2_mincoef(a,b) (lower only) built from the envelope extremum.  One
+table, _KIND_PARAMS, gives each kind's parameters: BoundFamily rejects an
+unknown kind, a missing parameter or an extra one with ValueError, and id
+and parse_family read the same table.
 
 Each family is written once, in this square-root/power form, over a backend
 (family._F64 or family._MP): pair_f64 and pair_mp run the same expressions
@@ -80,7 +83,16 @@ _RADIUS_OUT = 1.0 + 4.0 * math.ulp(1.0)
 _PI_DOWN = math.nextafter(math.pi, 0.0)
 _PI_UP = math.nextafter(math.pi, 4.0)
 
-FAMILY_KINDS = ("carlson", "thm2", "thm2_reversed", "thm3", "thm2_maxcoef", "thm2_mincoef")
+# the parameters each family kind takes, in the order its id lists them
+_KIND_PARAMS = {
+    "carlson": (),
+    "thm2": ("b",),
+    "thm2_reversed": ("b",),
+    "thm3": (),
+    "thm2_maxcoef": ("a", "b"),
+    "thm2_mincoef": ("a", "b"),
+}
+FAMILY_KINDS = tuple(_KIND_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,11 @@ class BoundFamily:
     a: float | None = None
 
     def __post_init__(self) -> None:
+        params = _KIND_PARAMS.get(self.kind)
+        if params is None:
+            raise ValueError(f"invalid family kind {self.kind!r}")
+        if (self.a is not None, self.b is not None) != ("a" in params, "b" in params):
+            raise ValueError(f"{self.kind} takes ({', '.join(params)}), got a = {self.a}, b = {self.b}")
         # |b| < 1023 keeps 2**(b+1/2) and (1+x)**b, 1+x in [1, 2), finite
         # and non-zero in float64
         if self.b is not None and not abs(self.b) < 1023.0:
@@ -105,11 +122,10 @@ class BoundFamily:
 
     @cached_property
     def id(self) -> str:
-        if self.kind in ("carlson", "thm3"):
+        params = _KIND_PARAMS[self.kind]
+        if not params:
             return self.kind
-        if self.kind in ("thm2", "thm2_reversed"):
-            return f"{self.kind}({self.b!r})"
-        return f"{self.kind}({self.a!r},{self.b!r})"
+        return f"{self.kind}({','.join(repr(getattr(self, name)) for name in params)})"
 
     @cached_property
     def is_valid(self) -> bool:
@@ -202,13 +218,7 @@ class BoundFamily:
     def _coefficient(self, m, upper_only: bool):
         """The envelope's value at its interior maximum (upper_only) or minimum."""
         p = Params(self.a, self.b)
-        if p.a == p.b:
-            # the quadratic is linear, with the one root a+b, an envelope
-            # maximum when positive (see extrema_points)
-            root = m.num(p.a) + m.num(p.b) if upper_only else None
-        else:
-            disc = family._envelope_disc(m, p)
-            root = family._envelope_roots(m, p, disc)[0 if upper_only else 1] if disc > 0 else None
+        root = family._envelope_extrema(m, p)[0 if upper_only else 1]
         # outside (0,1) the envelope has no value (at x = 1 it is 0*log(0))
         if root is None or not 0 < root < 1:
             side = "maximum" if upper_only else "minimum"
@@ -259,23 +269,14 @@ class BoundInterval:
 def parse_family(text: str) -> BoundFamily:
     """Parse a family id like carlson, thm2(0.2) or thm2_maxcoef(0.5,0.14)."""
     text = text.strip()
-    if text == "carlson":
-        return carlson()
-    if text == "thm3":
-        return thm3()
-    for kind, nargs in (
-        ("thm2_reversed", 1),
-        ("thm2_maxcoef", 2),
-        ("thm2_mincoef", 2),
-        ("thm2", 1),
-    ):
-        if text.startswith(kind + "(") and text.endswith(")"):
-            args = [float(t) for t in text[len(kind) + 1 : -1].split(",")]
-            if len(args) != nargs:
-                break
-            if nargs == 1:
-                return BoundFamily(kind, b=args[0])
-            return BoundFamily(kind, a=args[0], b=args[1])
+    kind, paren, rest = text.partition("(")
+    params = _KIND_PARAMS.get(kind)
+    if params == () and not paren:
+        return BoundFamily(kind)
+    if params and rest.endswith(")"):
+        args = rest[:-1].split(",")
+        if len(args) == len(params):
+            return BoundFamily(kind, **{name: float(t) for name, t in zip(params, args)})
     raise ValueError(f"unrecognized bound family {text!r}")
 
 

@@ -4,13 +4,14 @@ g' is strictly increasing from a-b-4/pi**2 (at 0+) to a-b-1/3 (at 1-), so
 g is monotone or has a unique interior minimum, and the signs of five
 quantities decide how many times g (hence f') crosses zero: g(0) =
 a+b-2/pi, g(1-) = 2a-1, g'(0), g'(1-) and, in the window
-1/3 < a-b < 4/pi**2 where g' changes sign, min g.  One sign reader serves
-both classifiers: _edge_signs and _min_g_sign compute each sign as one
-expression of a family backend, in float64, and re-run it at 40 digits
-when it is too close to zero.  classify_symbolic applies the closed-form
-region conditions to those signs in their published order, with a fixed
-float64 band derived in its docstring; classify_numeric reconstructs the
-class from them with a caller-chosen tol.  Every zero of g' comes from
+1/3 < a-b < 4/pi**2 where g' changes sign, min g.  One sign reader,
+_sign_exact, serves both classifiers: _edge_signs, _min_g_sign and the
+test of g' at the top of the float64 bracket in _g_prime_zero64 write each
+sign as one expression of a family backend, read in float64 and re-read
+at 40 digits when it is too close to zero.  classify_symbolic applies the
+closed-form region conditions to those signs in their published order,
+with a fixed float64 band derived in its docstring; classify_numeric
+reconstructs the class from them with a caller-chosen tol.  Every zero of g' comes from
 _g_prime_root, one safeguarded Newton iteration whose slope g'' is the
 parameter-free proof-chain function.  At 40 digits the sign of min g
 needs no polished zero: g'' >= 2/45 on [0, 1), so at the float64 zero x64
@@ -51,7 +52,7 @@ ONE_THIRD = 1.0 / 3.0
 
 # a double whose 50-digit re-evaluation is still below this is an exact zero
 # of the condition expression (e.g. 2a-1 at a = 0.5)
-_HP_ZERO = mpf("1e-30")
+_HP_ZERO = mpf(1e-30)
 
 
 class RegionClass(Enum):
@@ -272,26 +273,14 @@ def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None, x=None):
         x = nx
 
 
-def _top_margin() -> float:
-    """Least float64 a-b-1/3 that proves g'(_TOP) > 0 without evaluating it.
-
-    g'(x) = a-b - r'(x), and near x = 1, with theta = arccos x,
-    r'(x) = 1/3 + theta**2/45 + 2*theta**4/945 + ..., all terms positive;
-    so g'(_TOP) > 0 exactly when a-b-1/3 exceeds r'(_TOP) - 1/3 (about
-    4.4e-14).  The float64 a-b-1/3 of doubles a, b is off by less than
-    1e-16 wherever it is that small, which 2**-52 covers.
-    """
-    with hp_context(40):
-        gap = -family._g_prime(_MP, Params(0.0, 0.0), mpf(_TOP)) - mpf(1) / 3
-    return float(gap) + 2.0**-52
-
-
-_TOP_MARGIN = _top_margin()
-
-
 def _g_prime_zero64(p: Params):
-    """Float64 zero of g' in (0, _TOP) for p in the window; None when g'(_TOP) <= 0 at 40 digits."""
-    if family._g_prime_at_1(_F64, p) <= _TOP_MARGIN and family.g_prime_eval(p, EvalPoint(_TOP, 40)) <= 0:
+    """Float64 zero of g' in (0, _TOP) for p in the window; None when g'(_TOP) <= 0.
+
+    Float64 g' errs by under 4e-15 absolute (pinned by
+    test_float64_chain_matches_50_digits), within _SIGN_BAND = 1e-14, so
+    _sign_exact reads the sign of g'(_TOP) at 40 digits only below that.
+    """
+    if _sign_exact(lambda m: family._g_prime(m, p, m.num(_TOP)), _SIGN_BAND) <= 0:
         return None
     return _g_prime_root(p, 0.0, _TOP, 1e-12)
 
@@ -414,27 +403,15 @@ def _disc_quadratic(p: Params) -> float:
 def extrema_points(p: Params) -> ExtremaReport:
     """Both discriminant forms, the envelope extremum roots and coefficients.
 
-    For a == b the quadratic degenerates to a linear equation with the
-    single root a+b (a maximum of the envelope when a+b > 0, a minimum when
-    a+b < 0); a == b == 0 is fully degenerate and raises.
+    The roots are family._envelope_extrema's, so for a == b the one root
+    of the linear equation is a+b; a == b == 0 is fully degenerate and
+    raises.
     """
-    a, b = p.a, p.b
-    s = a + b
+    if p.a == p.b == 0.0:
+        raise ValueError("degenerate parameters: a = b and a + b = 0")
     disc_closed = family._envelope_disc(_F64, p)
     disc_quadratic = _disc_quadratic(p)
-    x1: float | None = None
-    x2: float | None = None
-    if a == b:
-        # qb = -s and qc = s*s: the one root -qc/qb is s, taken as a+b
-        # exactly, the root the thm2_maxcoef/thm2_mincoef coefficient uses
-        if s == 0.0:
-            raise ValueError("degenerate parameters: a = b and a + b = 0")
-        if s > 0.0:
-            x1 = s
-        else:
-            x2 = s
-    elif disc_closed > 0.0:
-        x1, x2 = family._envelope_roots(_F64, p, disc_closed)
+    x1, x2 = family._envelope_extrema(_F64, p)
     max_coeff = None
     min_coeff = None
     if x1 is not None and 0.0 < x1 < 1.0:

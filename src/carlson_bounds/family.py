@@ -403,6 +403,19 @@ def _envelope_roots(m, p, disc):
     return (s * (1 - 2 * d) - rt) / (2 * (d * d)), (s * (1 - 2 * d) + rt) / (2 * (d * d))
 
 
+def _envelope_extrema(m, p):
+    """(x1, x2), the envelope's maximum and minimum candidates; None where absent.
+
+    They are the quadratic's roots when its closed discriminant is positive;
+    for a == b its one root a+b is x1 when positive and x2 otherwise.
+    """
+    if p.a == p.b:
+        s = m.num(p.a) + m.num(p.b)
+        return (s, None) if s > 0 else (None, s)
+    disc = _envelope_disc(m, p)
+    return _envelope_roots(m, p, disc) if disc > 0 else (None, None)
+
+
 def envelope_eval(p: Params, pt: EvalPoint):
     """Critical-value envelope (1+x)**(b+1/2) * (1-x)**(1/2-a) / (a+b+(a-b)x).
 

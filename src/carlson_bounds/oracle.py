@@ -58,9 +58,13 @@ def default_digits() -> int:
 
 
 def resolve_digits(digits: int | None) -> int:
-    """default_digits() for None, else digits, which must lie in [MIN_DIGITS, MAX_DIGITS]."""
+    """default_digits() for None, else digits, a whole number (40 or 40.0) in [MIN_DIGITS, MAX_DIGITS]."""
     if digits is None:
         return default_digits()
+    if isinstance(digits, float) and digits.is_integer():
+        digits = int(digits)
+    if not isinstance(digits, int):
+        raise ValueError(f"precision must be a whole number of digits, got {digits!r}")
     if not MIN_DIGITS <= digits <= MAX_DIGITS:
         raise ValueError(
             f"precision must be in [{MIN_DIGITS}, {MAX_DIGITS}] digits, got {digits}"

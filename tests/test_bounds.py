@@ -148,10 +148,36 @@ def test_bad_family_parameters_raise_value_error():
 
 
 def test_parse_family_round_trip():
-    for fam in (carlson(), thm3(), thm2(0.2), thm2_reversed(0.1), thm2_maxcoef(0.5, 0.14)):
+    fams = (
+        carlson(),
+        thm3(),
+        thm2(0.2),
+        thm2_reversed(0.1),
+        thm2_maxcoef(0.5, 0.14),
+        thm2_mincoef(0.51, 0.12),
+    )
+    assert sorted(fam.kind for fam in fams) == sorted(bounds.FAMILY_KINDS)
+    for fam in fams:
         assert parse_family(fam.id) == fam
+    for text in ("thm9(0.3)", "carlson()", "thm2", "thm2(0.2,0.3)", "thm2_maxcoef(0.5)"):
+        with pytest.raises(ValueError, match="unrecognized bound family"):
+            parse_family(text)
+
+
+def test_bad_family_construction_raises_value_error():
+    # the kind table decides, at construction, for every caller
+    with pytest.raises(ValueError, match="invalid family kind 'bogus'"):
+        bounds.BoundFamily("bogus")
+    with pytest.raises(ValueError, match=r"thm2 takes \(b\), got a = None, b = None"):
+        bounds.BoundFamily("thm2")
+    with pytest.raises(ValueError, match=r"thm2_mincoef takes \(a, b\)"):
+        bounds.BoundFamily("thm2_mincoef", b=0.12)
+    with pytest.raises(ValueError, match=r"carlson takes \(\), got a = None, b = 0.2"):
+        bounds.BoundFamily("carlson", b=0.2)
+    with pytest.raises(ValueError, match=r"thm2 takes \(b\)"):
+        bounds.BoundFamily("thm2", b=0.2, a=0.5)
     with pytest.raises(ValueError):
-        parse_family("thm9(0.3)")
+        best_envelope(0.5, [bounds.BoundFamily("bogus")])
 
 
 def test_family_pickles_after_use():

@@ -129,6 +129,11 @@ def test_bounds_bad_family_exits_64(capsys):
     capsys.readouterr()
 
 
+def test_bounds_family_without_its_parameter_exits_64(capsys):
+    assert main(["bounds", "--x", "0.5", "--families", "thm2"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "text", ["thm2(inf)", "thm2(nan)", "thm2_reversed(-inf)", "thm2(2000)", "thm2_reversed(-2000)"]
 )
@@ -219,6 +224,8 @@ def test_verify_passes_and_is_deterministic():
         (("--seed", "0"), "verify_seed0.json"),
         (("--seed", "7"), "verify_seed7.json"),
         (("--seed", "7", "--format", "csv"), "verify_seed7.csv"),
+        (("--seed", "7", "--precision", "17"), "verify_seed7_precision17.json"),
+        (("--seed", "7", "--precision", "120"), "verify_seed7_precision120.json"),
     ],
 )
 def test_verify_stdout_matches_golden_file(args, golden):

@@ -110,6 +110,21 @@ def test_default_digits_env_values(monkeypatch):
         default_digits()
 
 
+def test_digit_counts_must_be_whole_numbers():
+    # a fractional or non-numeric count is refused, not used as a working
+    # precision of 50.7 digits; an integral float is the integer count
+    for digits in (40.5, 40.7, "40", math.nan, math.inf, mpf(40)):
+        with pytest.raises(ValueError, match="whole number of digits"):
+            arccos_hp(0.5, digits)
+        with pytest.raises(ValueError, match="whole number of digits"):
+            f_eval(Params(0.5, 0.2), EvalPoint(0.5, digits))
+        with pytest.raises(ValueError, match="whole number of digits"):
+            bound_table([0.5], digits=digits)
+    v = arccos_hp(0.5, 40.0)
+    assert v.digits == 40 and type(v.digits) is int
+    assert v.value == arccos_hp(0.5, 40).value
+
+
 def test_hpvalue_carries_digits():
     v = arccos_hp(0.25, 33)
     assert isinstance(v, HPValue)

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from mpmath import mpf
+from mpmath import mpf, workdps
 
 from carlson_bounds.bounds import B_STAR, ONE_SIXTH, BoundFamily, carlson, thm2, thm2_reversed, thm3
 from carlson_bounds import verifier
@@ -369,6 +369,15 @@ def test_default_suite_rejects_out_of_range_digits():
     for digits in (5, 16, 201):
         with pytest.raises(ValueError, match="precision must be in"):
             default_suite(digits=digits)
+
+
+def test_suite_does_not_depend_on_the_callers_precision():
+    # every check works at its own digits: the endpoint ladders are
+    # doubles, not mpf values rounded at whatever precision the caller set
+    want = [r.to_json() for r in default_suite(seed=7)]
+    for dps in (30, 100):
+        with workdps(dps):
+            assert [r.to_json() for r in default_suite(seed=7)] == want, dps
 
 
 def test_default_suite_green():
