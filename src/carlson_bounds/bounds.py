@@ -58,7 +58,7 @@ from mpmath.libmp import (
 from . import classifier, family
 from .classifier import TWO_OVER_PI
 from .family import _F64, _MP, TWO_SQRT2, Params
-from .oracle import DEFAULT_DIGITS, arccos_hp, const_hp, resolve_digits
+from .oracle import DEFAULT_DIGITS, MP_CONSTANTS, arccos_hp, const_hp, resolve_digits
 
 ONE_SIXTH = 1.0 / 6.0
 B_STAR = TWO_OVER_PI - 0.5  # sharp reversed-family threshold 2/pi - 1/2
@@ -136,22 +136,17 @@ class BoundFamily:
             return self.b >= ONE_SIXTH
         if self.kind == "thm2_reversed":
             return self.b <= B_STAR
+        # the class first: extrema_points raises for the degenerate a = b = 0,
+        # which is in neither class
         p = Params(self.a, self.b)
-        region = classifier.classify_symbolic(p)
+        upper_only = self.kind == "thm2_maxcoef"
+        region = classifier.RegionClass.UNIQUE_MAX if upper_only else classifier.RegionClass.UNIQUE_MIN
+        if classifier.classify_symbolic(p) is not region:
+            return False
         rep = classifier.extrema_points(p)
-        if self.kind == "thm2_maxcoef":
-            return (
-                region is classifier.RegionClass.UNIQUE_MAX
-                and rep.disc_closed > 0.0
-                and rep.x1 is not None
-                and rep.x1 > 0.0
-            )
-        return (
-            region is classifier.RegionClass.UNIQUE_MIN
-            and rep.disc_closed > 0.0
-            and rep.x2 is not None
-            and 0.0 < rep.x2 < 1.0
-        )
+        if upper_only:
+            return rep.disc_closed > 0.0 and rep.x1 is not None and rep.x1 > 0.0
+        return rep.disc_closed > 0.0 and rep.x2 is not None and 0.0 < rep.x2 < 1.0
 
     # raw expression values (no validity gate -- the verifier probes invalid
     # parameter choices on purpose to exhibit violations)
@@ -191,10 +186,10 @@ class BoundFamily:
         """
         one = m.num(1.0)
         if self.kind == "carlson":
-            cbrt4, sixth = CBRT4 if m is _F64 else mp.cbrt(4), one / 6
+            cbrt4, sixth = CBRT4 if m is _F64 else MP_CONSTANTS["CBRT4"](), one / 6
             return lambda onem, onep, s1m, base: (6 * base, cbrt4 * s1m / onep**sixth)
         if self.kind == "thm3":
-            top = BEST_UPPER_THM3 if m is _F64 else (one / 2 + mp.sqrt(2)) * mp.pi
+            top = BEST_UPPER_THM3 if m is _F64 else MP_CONSTANTS["BEST_UPPER_THM3"]()
             return lambda onem, onep, s1m, base: (6 * base, top * base)
         b = m.num(self.b)
         if self.kind in ("thm2", "thm2_reversed"):
@@ -274,9 +269,12 @@ def parse_family(text: str) -> BoundFamily:
     if params == () and not paren:
         return BoundFamily(kind)
     if params and rest.endswith(")"):
-        args = rest[:-1].split(",")
+        try:
+            args = [float(t) for t in rest[:-1].split(",")]
+        except ValueError:  # an empty or non-numeric parameter
+            args = []
         if len(args) == len(params):
-            return BoundFamily(kind, **{name: float(t) for name, t in zip(params, args)})
+            return BoundFamily(kind, **dict(zip(params, args)))
     raise ValueError(f"unrecognized bound family {text!r}")
 
 
@@ -290,7 +288,7 @@ def _shared_terms(x: float) -> tuple[float, float, float, float]:
 @cache
 def _two_sqrt2_mp(prec: int) -> mpf:
     """2*sqrt(2) at the working precision, which the caller passes as prec."""
-    return 2 * mp.sqrt(2)
+    return MP_CONSTANTS["TWO_SQRT2"]()
 
 
 class _LoggedBase:

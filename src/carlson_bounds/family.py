@@ -34,9 +34,12 @@ so the backend supplies the four cancelling kernels minus_k (d - k for
 d = a-b), h, q and big_g of x and theta, each written once in closed form
 over the backend; _MP's are those.  _F64's minus_k, h and q are Taylor
 polynomials in theta**2 below _THETA0 = 0.6 (x above 0.825), and its big_g
-one on all of [0, pi/2].  Against 50 digits g' errs by under 1.5e-15
-absolute, h, q and g'' by 1.5e-13 relative and G by 1.5e-15, so a float64
-request stays in float64: no lock, and mpmath's precision is not read.
+one on all of [0, pi/2].  Their coefficients are derived exactly at import,
+in integers, by one power-series quotient (_quotient), and each float64
+coefficient is its exact value rounded once.  Against 50 digits g' errs by
+under 1.5e-15 absolute, h, q and g'' by 1.5e-13 relative and G by 1.5e-15,
+so a float64 request stays in float64: no lock, and mpmath's precision is
+not read.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from mpmath import mp, mpf
 
 from .oracle import acos_mp, arccos_stable, hp_context, resolve_digits
 
-# 0.0: nothing is promoted, and perfbench/tracer.py reads these (ROADMAP item 5)
+# 0.0: nothing is promoted, and perfbench/tracer.py reads these (ROADMAP item 6)
 ENDPOINT_PROMOTE = GPRIME_PROMOTE = CHAIN_PROMOTE = 0.0
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -60,73 +63,58 @@ CHAIN_SELECTORS = ("h", "q", "g_second", "big_g")
 # below this theta = arccos x the float64 g', h and q kernels take their series
 _THETA0 = 0.6
 
-# _K[n] = 2**(2n+2) |B_(2n+2)| / (2n+2)!, the coefficient of theta**(2n) in
-# k(theta) (from the Laurent series of cot); at theta0 the first omitted
-# term is 4e-21 of k, and 2e-18 of k' below
-_K = (
-    0.3333333333333333,
-    0.022222222222222223,
-    0.0021164021164021165,
-    0.00021164021164021165,
-    2.1377799155576935e-05,
-    2.1644042808063972e-06,
-    2.1925947851873778e-07,
-    2.2214608789979678e-08,
-    2.2507846516808994e-09,
-    2.2805151204592183e-10,
-    2.3106432599002624e-11,
-    2.3411706819824882e-12,
-    2.3721017400233653e-13,
-    2.4034415333307705e-14,
+
+def _quotient(num, den, start, stop):
+    """Coefficients start..stop-1 of the power series num(u) / den(u), exact.
+
+    num(i) and den(i) give the coefficient of u**i as a pair (p, q), q > 0,
+    standing for p/q; the results are such pairs, in lowest terms.
+    """
+    b = [den(i) for i in range(stop)]
+    c = []
+    for i in range(stop):
+        p, q = num(i)
+        for (cp, cq), (bp, bq) in zip(c, b[i:0:-1]):
+            p, q = p * cq * bq - cp * bp * q, q * cq * bq
+        p, q = p * b[0][1], q * b[0][0]
+        g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+        c.append((p // g, q // g))
+    return c[start:]
+
+
+# the chain kernels' theta-series in powers of u = theta**2, exact; each
+# float64 entry is its fraction rounded once (int / int rounds correctly)
+_fact = math.factorial
+# _K[n], the coefficient of u**n in k(theta) = (1 - theta*cot(theta)) / theta**2,
+# is that of u**(n+1) in -theta*cot(theta) = -cos(theta) / (sin(theta)/theta);
+# at theta0 the first omitted term is 4e-21 of k, and 2e-18 of k' below
+_K_EXACT = _quotient(
+    lambda i: ((-1) ** (i + 1), _fact(2 * i)), lambda i: ((-1) ** i, _fact(2 * i + 1)), 1, 15
 )
-# q(theta) / theta**5 in powers of theta**2; its poles at pi/2 +- 0.66i
+# q(theta) / theta**5: q/theta = (3/2) (sin(2 theta)/theta) / (2 + cos(2 theta)) - 1
+# from u**2 on, below which the terms cancel; its poles at pi/2 +- 0.66i
 # (|theta| = 1.70) set the decay, and at theta0 the first omitted term is
 # 1.3e-18 of the sum
-_Q = (
-    -0.08888888888888889,
-    -0.042328042328042326,
-    -0.009876543209876543,
-    0.0002565335898669232,
-    0.0012975775938738902,
-    0.0005966781275423251,
-    0.00013420960711481858,
-    -6.032169568582617e-06,
-    -1.8862924555462202e-05,
-    -8.400284612778674e-06,
-    -1.8187490121427657e-06,
-    1.1909980262032544e-07,
-    2.7367660915060974e-07,
-    1.1812467634571309e-07,
-    2.4573953362442232e-08,
-    -2.1587244400917336e-09,
-    -3.963367226319624e-09,
-    -1.6591126990763634e-09,
-    -3.3095718448047333e-10,
+_Q_EXACT = _quotient(
+    lambda i: (3 * (-4) ** i, _fact(2 * i + 1)),
+    lambda i: ((-4) ** i, _fact(2 * i)) if i else (3, 1),
+    2,
+    21,
 )
-# G(theta) / theta**5 in powers of theta**2; its poles at +-4pi/3 set the
-# decay, and at pi/2 the first omitted term is 5e-16 of the sum (all terms < 0)
-_G = (
-    -0.001388888888888889,
-    -6.200396825396825e-05,
-    -3.6168981481481483e-06,
-    -2.0566867626329432e-07,
-    -1.1720279122080337e-08,
-    -6.679440925928013e-10,
-    -3.806781410654927e-11,
-    -2.1695990324380155e-12,
-    -1.236522289305396e-13,
-    -7.0473307246694996e-15,
-    -4.0164967047503157e-16,
-    -2.289128600659282e-17,
-    -1.3046468550766971e-18,
-    -7.435595446835172e-20,
-    -4.237781240403894e-21,
-    -2.415245688429031e-22,
-    -1.376524979640065e-23,
-    -7.84525163906226e-25,
+# G(theta) / theta**5: G/theta = 1 - ((4 sin(theta/2) + sin(theta))/theta) /
+# (1 + 2 cos(theta/2)) from u**2 on, below which the terms cancel; its poles
+# at +-4pi/3 set the decay, and at pi/2 the first omitted term is 5e-16 of
+# the sum (all terms < 0)
+_G_EXACT = _quotient(
+    lambda i: ((-1) ** (i + 1) * (4 + 2 ** (2 * i + 1)), 2 ** (2 * i + 1) * _fact(2 * i + 1)),
+    lambda i: ((-1) ** i * 2, 4**i * _fact(2 * i)) if i else (3, 1),
+    2,
+    20,
 )
+_K, _Q, _G = (tuple(p / q for p, q in s) for s in (_K_EXACT, _Q_EXACT, _G_EXACT))
 # the series as _poly takes them, from the highest power down; _KP_DESC is
-# k'(theta) / theta = sum over n >= 1 of 2n * _K[n] * theta**(2n-2)
+# k'(theta) / theta = sum over n >= 1 of 2n * _K[n] * theta**(2n-2), from the
+# rounded _K[n] (the exact products round 4 of its 13 entries differently)
 _K_DESC = _K[::-1]
 _KP_DESC = tuple(2 * n * c for n, c in enumerate(_K) if n)[::-1]
 _Q_DESC = _Q[::-1]

@@ -31,15 +31,20 @@ GUARD_DIGITS = 10
 
 PRECISION_ENV = "CARLSON_PRECISION"
 
-CONSTANT_NAMES = (
-    "PI",
-    "TWO_OVER_PI",
-    "FOUR_OVER_PI_SQ",
-    "ONE_THIRD",
-    "CBRT4",
-    "TWO_SQRT2",
-    "BEST_UPPER_THM3",
-)
+# each named constant as an expression at the working precision.
+# BEST_UPPER_THM3 is (1/2 + sqrt(2))*pi, the sharp upper constant of the
+# square-root-kernel double inequality; CBRT4 is the sharp upper constant of
+# the classic Carlson inequality (equals 2**(1/6 + 1/2))
+MP_CONSTANTS = {
+    "PI": lambda: +mp.pi,
+    "TWO_OVER_PI": lambda: 2 / mp.pi,
+    "FOUR_OVER_PI_SQ": lambda: 4 / mp.pi**2,
+    "ONE_THIRD": lambda: mpf(1) / 3,
+    "CBRT4": lambda: mp.cbrt(4),
+    "TWO_SQRT2": lambda: 2 * mp.sqrt(2),
+    "BEST_UPPER_THM3": lambda: (mpf(1) / 2 + mp.sqrt(2)) * mp.pi,
+}
+CONSTANT_NAMES = tuple(MP_CONSTANTS)
 
 
 def default_digits() -> int:
@@ -148,29 +153,9 @@ def arccos_stable(x: float) -> float:
 
 
 def const_hp(name: str, digits: int | None = None) -> HPValue:
-    """Named constant to the requested digits.
-
-    BEST_UPPER_THM3 is (1/2 + sqrt(2))*pi, the sharp upper constant of the
-    square-root-kernel double inequality; CBRT4 is the sharp upper constant
-    of the classic Carlson inequality (equals 2**(1/6 + 1/2)).
-    """
+    """Named constant (a key of MP_CONSTANTS) to the requested digits."""
     digits = resolve_digits(digits)
-    if name not in CONSTANT_NAMES:
+    if name not in MP_CONSTANTS:
         raise ValueError(f"unknown constant {name!r}; expected one of {CONSTANT_NAMES}")
     with hp_context(digits):
-        if name == "PI":
-            value = +mp.pi
-        elif name == "TWO_OVER_PI":
-            value = 2 / mp.pi
-        elif name == "FOUR_OVER_PI_SQ":
-            value = 4 / mp.pi**2
-        elif name == "ONE_THIRD":
-            value = mpf(1) / 3
-        elif name == "CBRT4":
-            value = mp.cbrt(4)
-        elif name == "TWO_SQRT2":
-            value = 2 * mp.sqrt(2)
-        else:  # BEST_UPPER_THM3
-            value = (mpf(1) / 2 + mp.sqrt(2)) * mp.pi
-        return HPValue(digits, value)
-
+        return HPValue(digits, MP_CONSTANTS[name]())

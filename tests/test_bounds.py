@@ -81,6 +81,9 @@ def test_validity_predicates():
     assert not thm2_maxcoef(0.6, 0.14).is_valid  # outside the unique-max region
     assert thm2_mincoef(0.51, 0.12).is_valid
     assert not thm2_mincoef(0.5, 0.14).is_valid
+    # a = b = 0 has no extrema to place, and is in neither class
+    assert not thm2_maxcoef(0.0, 0.0).is_valid
+    assert not thm2_mincoef(0.0, 0.0).is_valid
 
 
 def test_coefficient_validity_near_two_over_pi():
@@ -159,7 +162,17 @@ def test_parse_family_round_trip():
     assert sorted(fam.kind for fam in fams) == sorted(bounds.FAMILY_KINDS)
     for fam in fams:
         assert parse_family(fam.id) == fam
-    for text in ("thm9(0.3)", "carlson()", "thm2", "thm2(0.2,0.3)", "thm2_maxcoef(0.5)"):
+    for text in (
+        "thm9(0.3)",
+        "carlson()",
+        "thm2",
+        "thm2(0.2,0.3)",
+        "thm2_maxcoef(0.5)",
+        "thm2()",
+        "thm2( )",
+        "thm2(abc)",
+        "thm2_maxcoef(0.5,)",
+    ):
         with pytest.raises(ValueError, match="unrecognized bound family"):
             parse_family(text)
 

@@ -134,6 +134,12 @@ def test_bounds_family_without_its_parameter_exits_64(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_bounds_degenerate_coefficient_family_exits_64(capsys):
+    assert main(["bounds", "--x", "0.5", "--families", "thm2_maxcoef(0,0)"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside its validity region" in captured.err
+
+
 @pytest.mark.parametrize(
     "text", ["thm2(inf)", "thm2(nan)", "thm2_reversed(-inf)", "thm2(2000)", "thm2_reversed(-2000)"]
 )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import from_rational, round_nearest, to_float
 
 from carlson_bounds import family
 from carlson_bounds.family import (
@@ -392,13 +393,24 @@ def test_float64_chain_matches_50_digits(name):
 
 
 def test_chain_series_coefficients_match_50_digits():
-    # k(theta) = sum 2**(2n) |B_2n| / (2n)! theta**(2n-2); q / theta**5
-    # from the power series of 3 sin(2t)/2 / (2 + cos(2t)) - t; and G / theta**5
-    # exactly, in rationals, from t - (4 sin(t/2) + sin(t)) / (1 + 2 cos(t/2))
+    exact = {"K": family._K_EXACT, "Q": family._Q_EXACT, "G": family._G_EXACT}
+    assert exact["K"][:2] == [(1, 3), (1, 45)]
+    assert exact["Q"][0] == (-4, 45)
+    assert exact["G"][0] == (-1, 720)
+    # each float64 entry is its exact value rounded once
+    for table, name in ((family._K, "K"), (family._Q, "Q"), (family._G, "G")):
+        assert len(table) == len(exact[name])
+        for j, (c, (p, q)) in enumerate(zip(table, exact[name])):
+            assert c == to_float(from_rational(p, q, 53, round_nearest)), (name, j)
+    # k(theta) = sum 2**(2n) |B_2n| / (2n)! theta**(2n-2), with mpmath's exact
+    # Bernoulli numbers
+    for n, (p, q) in enumerate(exact["K"], start=1):
+        bp, bq = mp.bernfrac(2 * n)
+        assert Fraction(p, q) == Fraction(2 ** (2 * n) * abs(bp), bq * math.factorial(2 * n)), n
+    # q / theta**5 from the power series of 3 sin(2t)/2 / (2 + cos(2t)) - t,
+    # divided in mpf at 50 digits
     with workdps(50):
-        for n, c in enumerate(family._K, start=1):
-            assert c == float(2 ** (2 * n) * abs(mp.bernoulli(2 * n)) / mp.factorial(2 * n)), n
-        size = 2 * len(family._Q) + 5
+        size = 2 * len(exact["Q"]) + 5
         num = [0 if i % 2 == 0 else mpf(3) / 2 * (-4) ** (i // 2) * 2 / mp.factorial(i) for i in range(size)]
         den = [(-4) ** (i // 2) / mp.factorial(i) if i % 2 == 0 else 0 for i in range(size)]
         den[0] += 2
@@ -407,21 +419,19 @@ def test_chain_series_coefficients_match_50_digits():
             ser.append((num[i] - mp.fsum(ser[j] * den[i - j] for j in range(i))) / den[0])
         ser[1] -= 1
         assert max(abs(c) for c in ser[:5]) < mpf("1e-45")
-        for j, c in enumerate(family._Q):
-            assert c == float(ser[5 + 2 * j]), j
-    size = 2 * len(family._G) + 5
-    scale = [(-1) ** (i // 2) * Fraction(1, 2**i * math.factorial(i)) for i in range(size)]
-    num = [(4 + 2**i) * c if i % 2 else 0 for i, c in enumerate(scale)]
-    den = [0 if i % 2 else 2 * c for i, c in enumerate(scale)]
-    den[0] += 1
-    ser = []
-    for i in range(size):
-        ser.append((num[i] - sum(ser[j] * den[i - j] for j in range(i))) / den[0])
-    ser = [-c for c in ser]
-    ser[1] += 1
-    assert ser[:6] == [0, 0, 0, 0, 0, Fraction(-1, 720)]
-    for j, c in enumerate(family._G):
-        assert c == float(ser[5 + 2 * j]), j
+        for j, (p, q) in enumerate(exact["Q"]):
+            assert abs(mpf(p) / q - ser[5 + 2 * j]) < mpf("1e-45") * abs(ser[5 + 2 * j]), j
+    # G against its closed form t - (4 sin(t/2) + sin(t)) / (1 + 2 cos(t/2)) at
+    # 60 digits: the terms fall by 1/(4pi/3)**2 < 1/16 in theta**2, so twice
+    # the last term times theta**2/16 bounds the omitted ones
+    with workdps(60):
+        for theta in (mpf(1) / 4, mpf(1) / 2, mpf(3) / 4, mpf(1)):
+            t = theta * theta
+            closed = theta - (4 * mp.sin(theta / 2) + mp.sin(theta)) / (1 + 2 * mp.cos(theta / 2))
+            series = theta**5 * mp.fsum(mpf(p) / q * t**j for j, (p, q) in enumerate(exact["G"]))
+            last = abs(mpf(exact["G"][-1][0]) / exact["G"][-1][1])
+            tail = 2 * last * theta**5 * t ** len(exact["G"]) / 16
+            assert abs(closed - series) <= tail + mpf("1e-55"), theta
 
 
 @pytest.mark.parametrize("digits", [-20, 0, 16, 201, 10**6])

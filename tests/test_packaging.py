@@ -30,13 +30,25 @@ sys.exit(cli.main(["classify", "--a", "0.5", "--b", "0.14"]))
 """
 
 
-def test_runs_with_numpy_blocked():
+def _run_python(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ}
     env.pop("CARLSON_PRECISION", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+
+
+def test_runs_with_numpy_blocked():
+    proc = _run_python(_WITHOUT_NUMPY)
     assert proc.returncode == 0, proc.stderr.decode()
     assert b'"symbolic_class": "UniqueMax"' in proc.stdout
+
+
+def test_import_does_not_load_decimal():
+    # decimal (which fractions imports) adds about 10 ms to every import; the
+    # series coefficients are derived in plain integers instead
+    proc = _run_python("import sys, carlson_bounds; print(sorted({'decimal', 'fractions'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.strip() == b"[]"
 
 
 def test_mpmath_is_the_only_runtime_dependency():
