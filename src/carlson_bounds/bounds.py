@@ -17,16 +17,16 @@ and parse_family read the same table.
 Each family is written once, in this square-root/power form, over a backend
 (family._F64 or family._MP): pair_f64 and pair_mp run the same expressions
 on the terms 1-x, 1+x, sqrt(1-x) and sqrt(1-x)/(2*sqrt(2)+sqrt(1+x)), which
-are computed once per point.  In mpmath, 1+x also keeps its log, taken at
-most once per point at the working precision + 10 bits: mpf_pow raises 1+x
-to a b that is not an integer or half an integer as exp(b*log(1+x)) with
-that log, so sharing it leaves every bit of (1+x)**b as it is, and a point
-that evaluates several families (check_containment) pays for one log.
-(1+x)**(1/2), for thm2(1/2), is the sqrt(1+x) the last term already took.
+are computed once per point.
 
 Against 60 digits the float64 kernels err by about 2 eps at most for small
 |b| (2.2 eps for the default families, 2.8 eps for thm2(3)); the rounding
 of 1+x, raised to the power b, adds up to |b|/2 eps (51 eps for thm2(100)).
+kernel_error states a derived bound on that error, after Higham's
+unit-roundoff counts, for carlson, thm3, and thm2 and thm2_reversed with
+|b| <= 16, assuming libm pow and atan2 err by under 1 ulp; margin_error
+extends it to the verifier's float64 containment margins.  Both are inf
+for every other family.  The derivation is in the comment above _OUT.
 
 best_envelope intersects the enabled families.  Doubles handed back by the
 certified paths are rounded outward (lower down, upper up) by a few ulp so
@@ -43,17 +43,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from mpmath import mp, mpf
-from mpmath.libmp import (
-    fhalf,
-    mpf_add,
-    mpf_exp,
-    mpf_log,
-    mpf_mul,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import mpf_add, mpf_shift, mpf_sub, round_nearest, to_float
 
 from . import classifier, family
 from .classifier import TWO_OVER_PI
@@ -65,23 +55,79 @@ B_STAR = TWO_OVER_PI - 0.5  # sharp reversed-family threshold 2/pi - 1/2
 CBRT4 = float(const_hp("CBRT4", DEFAULT_DIGITS))
 BEST_UPPER_THM3 = float(const_hp("BEST_UPPER_THM3", DEFAULT_DIGITS))
 
-# outward-rounding factor for the float64 kernels.  Each is a product and
-# quotient of correctly rounded sqrt, mul and div (u/2 each, u = eps), libm
-# pow (taken as under 1 ulp), a per-family constant, 1 - x (exact for
-# x >= 1/2 by Sterbenz, else u/2, halved again by sqrt) and 1 + x, whose u/2
-# rounding the power raises to |b|*u/2: about 3.5u + (|a|+|b|)*u/2 to first
-# order, plus the constant's error.  Measured against 60 digits that is
-# 2.2 eps for the default families and 2.8 eps for thm2(3).  For large |b|
-# the bounds are loose except as x -> 0 and x -> 1, where their gap to
-# arccos grows with |b| as fast as the rounding of 1 + x
-# (test_large_b_families_contain_arccos_near_the_endpoints); a derivation
-# of 16 eps for every family the API accepts is still open
+# Forward error of the float64 kernels, after Higham (Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., ch. 3), in units of the unit roundoff
+# rho = 2**-53.  Each correctly rounded +, -, *, / and sqrt multiplies its
+# exact result by (1 + d), |d| <= rho; libm pow and atan2 are assumed to err
+# by under 1 ulp, at most 2 rho relative for a normal result.  A value built
+# from k such factors, raised to powers p_i, errs by at most
+# (sum |p_i| k_i) rho to first order; the higher-order terms stay under
+# another rho while that sum is below 2**25.  For a double x in [0, 1) and
+# the families below every intermediate is a normal double, so these
+# relative bounds hold.  Counts:
+#   1 - x        1 (exact for x >= 1/2 by Sterbenz)   sqrt(1 - x)  1.5
+#   1 + x        1                                    sqrt(1 + x)  1.5
+#   2*sqrt(2)    1                                    base = sqrt(1-x)/(2*sqrt(2)+sqrt(1+x))  5
+#   carlson, thm3 lower 6*base: 6;  thm3 upper const*base: 7 (the constant
+#     rounded once);  carlson upper cbrt4*sqrt(1-x)/(1+x)**(1/6): 1 + 1.5 +
+#     1 + (1/6 + ln2/6 + 2) + 1 < 7, the ln2/6 for 1/6 rounded in the
+#     exponent;
+#   thm2(b), thm2_reversed(b): w = sqrt(1-x)/(1+x)**b takes 1.5 + |b| (1 + x
+#     raised to b) + 2 (pow) + 1 = 4.5 + |b|; (pi/2)*w adds 2, giving
+#     6.5 + |b|, and 2**(b+1/2)*w adds 1 + 2 + ln2*|b + 1/2| (b + 1/2 rounded
+#     in the exponent), giving 7.5 + |b| + 0.7*|b + 1/2|.
+# _DERIVED_B = 16 keeps each intermediate within [2**-60, 2**40], clear of
+# subnormals and overflow; kernel_error is inf beyond it and for the
+# coefficient families, whose bounds are not derived.  The default
+# families' largest bound is thm2(1/6)'s upper, 8.2 rho (4.1 eps); against
+# 60 digits they err by at most 2.2 eps (4.4 rho).
+#
+# _OUT nudges the envelope outward: lower*(1 - _OUT) rounds once more, so it
+# lies under the exact lower when the kernel bound + 1 stays under 16 eps =
+# 32 rho, as it does for every default family
+# (test_derived_error_bounds_cover_60_digit_errors).  Large |b| is not
+# derived: there the bounds are loose except as x -> 0 and x -> 1, where
+# their gap to arccos grows with |b| as fast as the rounding of 1 + x
+# (test_large_b_families_contain_arccos_near_the_endpoints).
+#
+# margin_error bounds a containment margin m = (arccos x - lower)/arccos x
+# or (upper - arccos x)/arccos x taken in float64 from pair_f64 and
+# oracle.arccos_stable.  arccos_stable = 2*atan2(sqrt(1-x), sqrt(1+x)): the
+# ratio of the square roots errs by 3 rho, atan's relative condition number
+# t/((1+t*t)*atan t) is at most 1, and atan2 adds 2, so 5 rho.  With r the
+# bound over arccos x, |r| <= 1 + |m|, the quotient errs by
+# |r|*(kernel + 5) rho, and the subtraction and division round twice more,
+# at most |m|*2 rho.  The verifier's digits margin at >= 93 bits errs by
+# under 2**-80*(1 + |m|) for these families (mpmath's acos, log and exp taken
+# as under 1 ulp), covered by one more rho, and one rho covers the
+# higher-order terms and the rounding of the bound itself.  So a float64
+# margin m64 is within margin_error(fam)*(1 + |m64|) of the digits margin,
+# with margin_error = (kernel + 9) rho, whenever m64 is a normal double.
+_RHO = 2.0**-53
+_DERIVED_B = 16.0
 _OUT = 16.0 * math.ulp(1.0)
 _LO_OUT = 1.0 - _OUT
 _UP_OUT = 1.0 + _OUT
 _RADIUS_OUT = 1.0 + 4.0 * math.ulp(1.0)
 _PI_DOWN = math.nextafter(math.pi, 0.0)
 _PI_UP = math.nextafter(math.pi, 4.0)
+
+
+def kernel_error(fam: BoundFamily) -> tuple[float, float]:
+    """Derived relative error bounds of fam.pair_f64's (lower, upper); inf outside the derivation."""
+    if fam.kind in ("carlson", "thm3"):
+        return 6 * _RHO, 7 * _RHO
+    if fam.kind in ("thm2", "thm2_reversed") and abs(fam.b) <= _DERIVED_B:
+        half_pi = (6.5 + abs(fam.b)) * _RHO
+        top = (7.5 + abs(fam.b) + 0.7 * abs(fam.b + 0.5)) * _RHO
+        return (half_pi, top) if fam.kind == "thm2" else (top, half_pi)
+    return math.inf, math.inf
+
+
+def margin_error(fam: BoundFamily) -> float:
+    """E with |m64 - m| <= E*(1 + |m64|) for fam's float64 containment margins m64; inf outside the derivation."""
+    return max(kernel_error(fam)) + 9 * _RHO
+
 
 # the parameters each family kind takes, in the order its id lists them
 _KIND_PARAMS = {
@@ -181,8 +227,7 @@ class BoundFamily:
         """(lower, upper) from the shared terms of x, in backend m (_F64 or _MP).
 
         The family's constants (cbrt(4), (1/2+sqrt(2))*pi, pi/2, 2**(b+1/2),
-        the envelope coefficient) are computed here, once per kernel.  The
-        term 1+x is only ever raised to a power; for _MP it is a _LoggedBase.
+        the envelope coefficient) are computed here, once per kernel.
         """
         one = m.num(1.0)
         if self.kind == "carlson":
@@ -291,55 +336,15 @@ def _two_sqrt2_mp(prec: int) -> mpf:
     return MP_CONSTANTS["TWO_SQRT2"]()
 
 
-class _LoggedBase:
-    """An mpf v whose powers v**t share one log, with the bits of mpf v**t.
-
-    mpf_pow raises v to an integer t by repeated multiplication and to an
-    odd multiple of 1/2 through a square root; it raises v to every other t
-    as exp(t*log v), with the log taken at the working precision + 10 bits
-    and the exp at the working precision, both in the working rounding.
-    ** runs that last branch with the log taken on its first use.  For
-    t = 1/2 it returns sqrt_v, which the caller took as mp.sqrt(v): that is
-    mpf_pow's mpf_sqrt(v) at the working precision and rounding.  The other
-    t (texp >= -1) use v**t itself, as does a negative v, whose complex
-    power does not come from the log.  The working precision must not
-    change between the powers of one instance.
-    """
-
-    __slots__ = ("v", "sqrt_v", "log")
-
-    def __init__(self, v: mpf, sqrt_v: mpf):
-        self.v = v
-        self.sqrt_v = sqrt_v
-        self.log = None
-
-    def __pow__(self, t: mpf) -> mpf:
-        vm, tm = self.v._mpf_, t._mpf_
-        if tm == fhalf:
-            return self.sqrt_v
-        if vm[0] or tm[2] >= -1:
-            return self.v**t
-        prec, rnd = mp._prec_rounding
-        if self.log is None:
-            self.log = mpf_log(vm, prec + 10, rnd)
-        return mp.make_mpf(mpf_exp(mpf_mul(tm, self.log), prec, rnd))
-
-
-def _shared_terms_mp(x: mpf) -> tuple[mpf, _LoggedBase, mpf, mpf]:
-    """The _shared_terms of x at the working precision; 1+x shares its log."""
+def _shared_terms_mp(x: mpf) -> tuple[mpf, mpf, mpf, mpf]:
+    """The _shared_terms of x at the working precision."""
     onem, onep = 1 - x, 1 + x
-    s1m, s1p = mp.sqrt(onem), mp.sqrt(onep)
-    base = s1m / (_two_sqrt2_mp(mp.prec) + s1p)
-    return onem, _LoggedBase(onep, s1p), s1m, base
+    s1m = mp.sqrt(onem)
+    return onem, onep, s1m, s1m / (_two_sqrt2_mp(mp.prec) + mp.sqrt(onep))
 
 
 def pairs_mp(fams, x: mpf) -> list[tuple[mpf | None, mpf | None]]:
-    """pair_mp of each family at x, with the shared terms taken once.
-
-    The terms share log(1+x): every power (1+x)**b, with b neither an
-    integer nor half an integer, is exp(b*log(1+x)) with that one log, which
-    is how mpf_pow computes it, so the values are those of (1+x)**b.
-    """
+    """pair_mp of each family at x, with the shared terms taken once."""
     terms = _shared_terms_mp(x)
     return [fam._kernel_mp()(*terms) for fam in fams]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
@@ -26,10 +27,13 @@ from . import bounds as bnd
 from . import family
 from .classifier import RegionClass, _disc_quadratic
 from .family import _F64, EvalPoint, Params
-from .oracle import acos_mp, hp_context, resolve_digits
+from .oracle import acos_mp, arccos_stable, hp_context, resolve_digits
 
 STRICT_MARGIN = 1e-30
 _SAMPLE_EDGE = 1e-12
+# deepest endpoint ladder: 10**-12 is the sample edge
+_MAX_DEPTH = 12
+_TINY = sys.float_info.min
 
 
 @dataclass
@@ -55,11 +59,24 @@ class VerificationReport:
         return json.dumps(self.to_dict())
 
 
+def _count(value, what: str, low: int, high: int | None = None) -> int:
+    """value as an int when it is a whole number (2000 or 2000.0) in [low, high]; else ValueError.
+
+    Every sample count and endpoint depth of the checks goes through here.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{what} must be a whole number {span}, got {value!r}")
+    return value
+
+
 def _containment_points(n: int, endpoint_depth: int, seed: int):
     """n uniform floats inside [1e-12, 1-1e-12] plus geometric endpoint ladders, all doubles."""
     rng = random.Random(seed)
     pts = [_SAMPLE_EDGE + (1.0 - 2.0 * _SAMPLE_EDGE) * rng.random() for _ in range(n)]
-    for k in range(1, min(endpoint_depth, 12) + 1):
+    for k in range(1, endpoint_depth + 1):
         pts.append(10.0**-k)
         pts.append(1.0 - 10.0**-k)
     return pts
@@ -89,25 +106,33 @@ def check_containment(
 ) -> list[VerificationReport]:
     """check_double_inequality for each of fams, in one pass over the points.
 
-    Each point gets one arccos reference and one set of shared terms, square
-    roots and log(1+x) (bounds.pairs_mp); every family keeps its own worst
+    n uniform points and endpoint_depth (at most 12) steps of each endpoint
+    ladder.  A float64 screen (_candidates) first drops the points at which
+    no family's margin can be its worst or a witness; the rest are taken at
+    `digits`.  Each gets one arccos reference and one set of shared terms
+    and square roots (bounds.pairs_mp); every family keeps its own worst
     margin and its own witnesses, in point order, so each report is the one
     its single check gives.  The margins (ref - lower)/ref and
     (upper - ref)/ref are taken in libmp at the working precision and
     rounding, as the mpf operators take them, and compared exactly with
     STRICT_MARGIN, converted once.
+
+    The reports are those of a pass over every point at `digits` as long as
+    bounds.margin_error holds.  That bound is derived, not measured, and it
+    rests on libm's pow and atan2 erring by under 1 ulp; a family outside
+    its derivation has every point taken at `digits`.
     """
     digits = resolve_digits(digits)
     fams = tuple(fams)
-    if n < 1000:
-        raise ValueError(f"need n >= 1000 samples, got {n}")
+    n = _count(n, "samples", 1000)
+    endpoint_depth = _count(endpoint_depth, "endpoint_depth", 0, _MAX_DEPTH)
     pts = _containment_points(n, endpoint_depth, seed)
     worst = [math.inf] * len(fams)
     witnesses = [[] for _ in fams]
     strict = from_float(STRICT_MARGIN)
     with hp_context(digits):
         prec, rnd = mp._prec_rounding
-        for x in pts:
+        for x in _candidates(fams, pts):
             xm = mpf(x)
             ref = acos_mp(xm)._mpf_
             for i, (lo, up) in enumerate(bnd.pairs_mp(fams, xm)):
@@ -132,6 +157,61 @@ def check_containment(
         )
         for fam, fam_worst, fam_witnesses in zip(fams, worst, witnesses)
     ]
+
+
+def _normal(v) -> bool:
+    """Whether v is a normal double (not None, 0, subnormal, inf or NaN)."""
+    return v is not None and _TINY <= abs(v) < math.inf
+
+
+def _margins64(fam: bnd.BoundFamily, pts, refs) -> list[tuple[float, float]]:
+    """fam's float64 (lower, upper) relative margins at pts against refs = arccos_stable(pts).
+
+    A margin is NaN where its bound is not a normal double, as for a side
+    the family lacks: margin_error assumes every value is normal.
+    """
+    out = []
+    for x, ref in zip(pts, refs):
+        lo, up = fam.pair_f64(x)
+        out.append(
+            (
+                (ref - lo) / ref if _normal(lo) else math.nan,
+                (up - ref) / ref if _normal(up) else math.nan,
+            )
+        )
+    return out
+
+
+def _candidates(fams, pts) -> list[float]:
+    """The points, in order, at which some family's digits margin may be its worst or a witness.
+
+    With E = bounds.margin_error(fam), each float64 margin m64 lies within
+    e = E*(1 + |m64|) of the digits margin.  A family's worst margin is the
+    least over both sides, so a point whose every m64 - e exceeds both the
+    family's least m64 + e and STRICT_MARGIN holds neither its worst digits
+    margin nor a witness; every other point is kept.  So is a point with an
+    m64 that is not a normal double, and every point of a family with
+    E = inf, whose float64 values are not computed.
+    """
+    refs = [arccos_stable(x) for x in pts]
+    keep = set()
+    for fam in fams:
+        err = bnd.margin_error(fam)
+        margins = _margins64(fam, pts, refs) if err < math.inf else [(math.nan, math.nan)] * len(pts)
+        least, floor = [], math.inf
+        for pair in margins:
+            low = math.inf
+            for m in pair:
+                if not _normal(m):
+                    low = -math.inf
+                    continue
+                e = err * (1.0 + abs(m))
+                low = min(low, m - e)
+                floor = min(floor, m + e)
+            least.append(low)
+        bar = max(floor, STRICT_MARGIN)
+        keep.update(i for i, low in enumerate(least) if low <= bar)
+    return [pts[i] for i in sorted(keep)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +244,7 @@ def scan_pattern(p: Params, n: int, digits: int | None = None):
     exactly; differences still below 1e-30 relative there count as flat.
     """
     digits = resolve_digits(digits)
+    n = _count(n, "scan points", 2)
     x = tuple([i / (n + 1.0) for i in range(1, n + 1)])
     f = tuple([family.f64(p, xi) for xi in x])
     pattern = []
@@ -185,8 +266,7 @@ def scan_pattern(p: Params, n: int, digits: int | None = None):
 
 def check_class(p: Params, expected: RegionClass, n: int, digits: int | None = None) -> VerificationReport:
     """Grid scan of f must exhibit the expected class's difference pattern."""
-    if n < 256:
-        raise ValueError(f"need n >= 256 scan points, got {n}")
+    n = _count(n, "scan points", 256)
     if expected not in _CLASS_PATTERNS:
         raise ValueError(f"no scan pattern for {expected}")
     pattern, x, f = scan_pattern(p, n, digits)
@@ -213,8 +293,7 @@ def check_class(p: Params, expected: RegionClass, n: int, digits: int | None = N
 def check_sign_chain(n: int, digits: int | None = None) -> VerificationReport:
     """q < 0 < h, g'' > 0 on [0, 1-1e-8]; q increasing, h decreasing; both -> 0 at 1."""
     digits = resolve_digits(digits)
-    if n < 1000:
-        raise ValueError(f"need n >= 1000 samples, got {n}")
+    n = _count(n, "samples", 1000)
     top = 1.0 - 1e-8
     xs = [top * i / (n - 1) for i in range(n)]
     qv = [float(family.chain_eval("q", EvalPoint(x))) for x in xs]
@@ -360,8 +439,7 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
     after the discriminant witnesses.
     """
     digits = resolve_digits(digits)
-    if n < 1000:
-        raise ValueError(f"need n >= 1000 samples, got {n}")
+    n = _count(n, "samples", 1000)
     rng = random.Random(seed)
     margins = []
     witnesses = []

@@ -371,11 +371,11 @@ def _pair_f64_power_form(fam, x):
     return (None, coef * w) if upper_only else (coef * w, None)
 
 
-def test_shared_log_gives_the_bits_of_the_power_form():
-    # pairs_mp takes log(1+x) once per point for every family; each value
-    # must be the bits of (1+x)**b from scratch, also for the b that mpf_pow
-    # sends down its integer (1, 3) or square-root (0.5, 2.5) path, and
-    # pair_f64 (libm pow) the bits of float **
+def test_pairs_mp_gives_the_bits_of_the_power_form():
+    # pairs_mp takes the shared terms once per point for every family; each
+    # value must be the bits of the power form from scratch, also for the b
+    # that mpf_pow sends down its integer (1, 3) or square-root (0.5, 2.5)
+    # path, and pair_f64 (libm pow) the bits of float **
     fams = (
         carlson(),
         thm3(),

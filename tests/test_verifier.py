@@ -3,14 +3,28 @@ import math
 import random
 
 import pytest
-from mpmath import mpf, workdps
+from mpmath import mp, mpf, workdps
 
-from carlson_bounds.bounds import B_STAR, ONE_SIXTH, BoundFamily, carlson, thm2, thm2_reversed, thm3
-from carlson_bounds import verifier
+from carlson_bounds.bounds import (
+    B_STAR,
+    DEFAULT_FAMILIES,
+    ONE_SIXTH,
+    BoundFamily,
+    carlson,
+    kernel_error,
+    margin_error,
+    pairs_mp,
+    thm2,
+    thm2_maxcoef,
+    thm2_reversed,
+    thm3,
+)
+from carlson_bounds import bounds, verifier
 from carlson_bounds.classifier import RegionClass, extrema_points
 from carlson_bounds.family import EvalPoint, Params, f_eval
-from carlson_bounds.oracle import hp_context
+from carlson_bounds.oracle import arccos_stable, hp_context
 from carlson_bounds.verifier import (
+    STRICT_MARGIN,
     VerificationReport,
     _containment_points,
     check_class,
@@ -23,6 +37,9 @@ from carlson_bounds.verifier import (
     scan_pattern,
     suite_passed,
 )
+
+# the containment families of default_suite
+SUITE_FAMILIES = (carlson(), thm2(ONE_SIXTH), thm2(0.2), thm2(0.5), thm2_reversed(B_STAR), thm3())
 
 # the five class checks of default_suite
 SUITE_CLASSES = [
@@ -64,11 +81,173 @@ def test_containment_sample_size_validation():
         check_double_inequality(carlson(), 999, 10)
 
 
+# each check with a count, and the nearest whole number outside its range
+_COUNTED = {
+    "containment": (lambda n: check_containment([carlson()], n, 10), 999),
+    "double_inequality": (lambda n: check_double_inequality(carlson(), n, 10), 999),
+    "class": (lambda n: check_class(Params(0, 0), RegionClass.STRICTLY_DECREASING, n), 255),
+    "scan_pattern": (lambda n: scan_pattern(Params(0, 0), n), 1),
+    "sign_chain": (lambda n: check_sign_chain(n), 999),
+    "identities": (lambda n: check_identities(n), 999),
+    "endpoint_depth": (lambda d: check_containment([carlson()], 1000, d), 13),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1500.5, "1500", None, -1, "outside"])
+@pytest.mark.parametrize("check", list(_COUNTED))
+def test_counts_must_be_whole_numbers_in_range(check, bad):
+    # NaN once ran zero discriminant samples and passed; a fractional count
+    # raised TypeError
+    call, outside = _COUNTED[check]
+    with pytest.raises(ValueError, match="must be a whole number"):
+        call(outside if bad == "outside" else bad)
+
+
+def test_whole_float_counts_are_their_integers():
+    assert check_identities(1000.0, seed=4).to_dict() == check_identities(1000, seed=4).to_dict()
+    got = check_containment([carlson()], 1000.0, 4.0, seed=4)[0]
+    assert got.to_dict() == check_containment([carlson()], 1000, 4, seed=4)[0].to_dict()
+    assert got.samples == 1008
+
+
 def test_suite_containment_pass_matches_single_checks():
     fams = (carlson(), thm2(ONE_SIXTH), thm2(0.2), thm2(0.5), thm2_reversed(B_STAR), thm3())
     suite = default_suite(seed=3)[: len(fams)]
     singles = [check_double_inequality(fam, 2000, 10, seed=3) for fam in fams]
     assert [r.to_dict() for r in suite] == [r.to_dict() for r in singles]
+
+
+def _full_containment(fams, n, endpoint_depth, seed, digits=40):
+    """check_containment's reports as dicts, from a plain loop over every point at digits."""
+    pts = _containment_points(n, endpoint_depth, seed)
+    worst = [math.inf] * len(fams)
+    witnesses = [[] for _ in fams]
+    with hp_context(digits):
+        strict = mpf(STRICT_MARGIN)
+        for x in pts:
+            xm = mpf(x)
+            ref = mp.acos(xm)
+            for i, (lo, up) in enumerate(pairs_mp(fams, xm)):
+                for side, diff in (
+                    ("lower", None if lo is None else ref - lo),
+                    ("upper", None if up is None else up - ref),
+                ):
+                    if diff is None:
+                        continue
+                    margin = diff / ref
+                    worst[i] = min(worst[i], float(margin))
+                    if margin <= strict:
+                        witnesses[i].append((x, f"{side} bound violated, margin {float(margin)!r}"))
+    return [
+        VerificationReport(f"containment:{fam.id}", len(pts), w, not wit, wit).to_dict()
+        for fam, w, wit in zip(fams, worst, witnesses)
+    ]
+
+
+def _screened(fams, n, endpoint_depth, seed, digits=40):
+    return [r.to_dict() for r in check_containment(fams, n, endpoint_depth, seed, digits)]
+
+
+@pytest.mark.parametrize("digits", [17, 40, 200])
+def test_screened_containment_matches_a_full_pass(digits):
+    # the float64 screen takes a handful of points to digits; the reports are
+    # those of every point taken there
+    for seed in range(10):
+        assert _screened(SUITE_FAMILIES, 2000, 10, seed, digits) == _full_containment(
+            SUITE_FAMILIES, 2000, 10, seed, digits
+        ), seed
+
+
+def test_screen_keeps_every_witness_of_violating_families():
+    # thm2(0.1) and thm2(0.16) are past 1/6 and fail near x = 1,
+    # thm2_reversed(B_STAR + 1e-3) past 2/pi - 1/2 and fails near x = 0
+    fams = (thm2(0.1), thm2(0.16), thm2_reversed(B_STAR + 1e-3))
+    reports = _screened(fams, 2000, 10, 3)
+    assert reports == _full_containment(fams, 2000, 10, 3)
+    order = {x: i for i, x in enumerate(_containment_points(2000, 10, 3))}
+    for rep in reports:
+        assert rep["witnesses"]
+        seen = [order[x] for x, _ in rep["witnesses"]]
+        assert seen == sorted(seen)
+
+
+def test_families_outside_the_derived_bound_take_every_point():
+    # (1+x)**1022.9 leaves thm2(1022.9)'s lower subnormal near 1, and the
+    # coefficient families have no derived bound: margin_error is inf and
+    # the screen keeps every point
+    fams = (thm2(1022.9), thm2_maxcoef(0.5, 0.14))
+    pts = _containment_points(1000, 10, 4)
+    for fam in fams:
+        assert margin_error(fam) == math.inf
+        assert verifier._candidates((fam,), pts) == pts
+    assert _screened(fams, 1000, 10, 4) == _full_containment(fams, 1000, 10, 4)
+
+
+@pytest.mark.parametrize(
+    "fam, patch",
+    [
+        # thm3's worst margin is its lower one at the ladder point 1 - 1e-10;
+        # a subnormal lower bound would put that margin near 1
+        (thm3(), lambda lo, up: (5e-324, up)),
+        # thm2_reversed(B_STAR)'s is its upper one at the ladder point 1e-10
+        (thm2_reversed(B_STAR), lambda lo, up: (lo, math.nan)),
+    ],
+)
+def test_screen_keeps_points_whose_float64_margin_is_not_normal(fam, patch, monkeypatch):
+    want = _full_containment((fam,), 1000, 10, 5)
+    ladders = set(_containment_points(1000, 10, 5)[1000:])
+    real = BoundFamily.pair_f64
+
+    def pair_f64(self, x):
+        pair = real(self, x)
+        return patch(*pair) if x in ladders else pair
+
+    monkeypatch.setattr(BoundFamily, "pair_f64", pair_f64)
+    assert _screened((fam,), 1000, 10, 5) == want
+
+
+def test_derived_error_bounds_cover_60_digit_errors():
+    # the derivation's families: the suite's, the violating ones above and
+    # the edges of its |b| range; at the sample edges, the endpoint ladders,
+    # the ulp ladder at 1 and uniform x
+    fams = (
+        *SUITE_FAMILIES,
+        thm2(0.1),
+        thm2(0.16),
+        thm2_reversed(B_STAR + 1e-3),
+        thm2(16.0),
+        thm2(-16.0),
+        thm2_reversed(16.0),
+        thm2_reversed(-16.0),
+    )
+    rng = random.Random(17)
+    xs = (
+        [1e-12, 1.0 - 1e-12]
+        + [10.0**-k for k in range(1, 13)]
+        + [1.0 - 10.0**-k for k in range(1, 13)]
+        + [1.0 - k * 2.0**-53 for k in range(1, 200)]
+        + [rng.random() for _ in range(500)]
+    )
+    refs = [arccos_stable(x) for x in xs]
+    misses = []
+    with workdps(60):
+        exact = [mp.acos(mpf(x)) for x in xs]
+        for fam in fams:
+            bound, kernel = margin_error(fam), kernel_error(fam)
+            assert bound < math.inf
+            for x, ref, margins in zip(xs, exact, verifier._margins64(fam, xs, refs)):
+                for f64, want, k, m64, sign in zip(fam.pair_f64(x), fam.pair_mp(mpf(x)), kernel, margins, (-1, 1)):
+                    if abs(f64 - want) > k * want:
+                        misses.append((fam.id, x, "kernel"))
+                    if abs(m64 - sign * (want - ref) / ref) > bound * (1 + abs(m64)):
+                        misses.append((fam.id, x, "margin"))
+    assert not misses, (len(misses), misses[:5])
+    for fam in (thm2(16.5), thm2_reversed(-17.0), thm2(1022.9), thm2_maxcoef(0.5, 0.14)):
+        assert margin_error(fam) == math.inf
+    # the envelope's outward nudge covers the default families' derived
+    # kernel bounds, and the one rounding of the nudge itself
+    for fam in DEFAULT_FAMILIES:
+        assert max(kernel_error(fam)) + 2.0**-53 <= bounds._OUT
 
 
 def test_containment_pass_keeps_witnesses_per_family():
