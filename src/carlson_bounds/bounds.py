@@ -343,10 +343,26 @@ def _shared_terms_mp(x: mpf) -> tuple[mpf, mpf, mpf, mpf]:
     return onem, onep, s1m, s1m / (_two_sqrt2_mp(mp.prec) + mp.sqrt(onep))
 
 
+class PairMemo(dict):
+    """memo[fam] is fam.pair_mp(x); the shared terms of x are taken once, at the first lookup."""
+
+    def __init__(self, x: mpf):
+        super().__init__()
+        self.x = x
+
+    @cached_property
+    def terms(self):
+        return _shared_terms_mp(self.x)
+
+    def __missing__(self, fam):
+        pair = self[fam] = fam._kernel_mp()(*self.terms)
+        return pair
+
+
 def pairs_mp(fams, x: mpf) -> list[tuple[mpf | None, mpf | None]]:
     """pair_mp of each family at x, with the shared terms taken once."""
-    terms = _shared_terms_mp(x)
-    return [fam._kernel_mp()(*terms) for fam in fams]
+    memo = PairMemo(x)
+    return [memo[fam] for fam in fams]
 
 
 def _validated(fams) -> tuple[BoundFamily, ...]:

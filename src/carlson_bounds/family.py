@@ -32,9 +32,10 @@ The chain cancels as x -> 1.  With theta = arccos x,
 
 so the backend supplies the four cancelling kernels minus_k (d - k for
 d = a-b), h, q and big_g of x and theta, each written once in closed form
-over the backend; _MP's are those.  _F64's minus_k, h and q are Taylor
-polynomials in theta**2 below _THETA0 = 0.6 (x above 0.825), and its big_g
-one on all of [0, pi/2].  Their coefficients are derived exactly at import,
+over the backend; _MP's are those, taken with twice the bits 1 - x lacks
+(_evaluate).  _F64's minus_k, h and q are Taylor polynomials in theta**2
+below _THETA0 = 0.6 (x above 0.825), and its big_g one on all of
+[0, pi/2].  Their coefficients are derived exactly at import,
 in integers, by one power-series quotient (_quotient), and each float64
 coefficient is its exact value rounded once.  Against 50 digits g' errs by
 under 1.5e-15 absolute, h, q and g'' by 1.5e-13 relative and G by 1.5e-15,
@@ -239,10 +240,15 @@ def _evaluate(pt: EvalPoint, expr, p: Params | None, include_zero: bool):
 
     Domain is [0,1) when include_zero else (0,1); checks run on the value in
     the precision the point carries, so string/mpf points survive intact.
+    The chain's closed forms cancel by up to (1-x)**2 as x -> 1, so _MP takes
+    them with twice the bits 1-x lacks and rounds back to the working precision.
     """
     if pt.digits is not None:
         with hp_context(resolve_digits(pt.digits)):
-            return expr(_MP, p, _in_domain(mpf(pt.x), pt.x, include_zero))
+            x = _in_domain(mpf(pt.x), pt.x, include_zero)
+            with mp.workprec(mp.prec + 2 * max(0, -mp.mag(1 - x))):
+                v = expr(_MP, p, x)
+            return +v
     return expr(_F64, p, _in_domain(float(pt.x), pt.x, include_zero))
 
 

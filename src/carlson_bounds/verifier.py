@@ -20,8 +20,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from mpmath import mp, mpf
-from mpmath.libmp import from_float, mpf_div, mpf_le, mpf_sub, to_float
+from mpmath import mpf
 
 from . import bounds as bnd
 from . import family
@@ -113,9 +112,8 @@ def check_containment(
     and square roots (bounds.pairs_mp); every family keeps its own worst
     margin and its own witnesses, in point order, so each report is the one
     its single check gives.  The margins (ref - lower)/ref and
-    (upper - ref)/ref are taken in libmp at the working precision and
-    rounding, as the mpf operators take them, and compared exactly with
-    STRICT_MARGIN, converted once.
+    (upper - ref)/ref are mpf values at `digits`, compared exactly with
+    STRICT_MARGIN; a margin is reported as its nearest double.
 
     The reports are those of a pass over every point at `digits` as long as
     bounds.margin_error holds.  That bound is derived, not measured, and it
@@ -129,24 +127,23 @@ def check_containment(
     pts = _containment_points(n, endpoint_depth, seed)
     worst = [math.inf] * len(fams)
     witnesses = [[] for _ in fams]
-    strict = from_float(STRICT_MARGIN)
     with hp_context(digits):
-        prec, rnd = mp._prec_rounding
+        strict = mpf(STRICT_MARGIN)
         for x in _candidates(fams, pts):
             xm = mpf(x)
-            ref = acos_mp(xm)._mpf_
+            ref = acos_mp(xm)
             for i, (lo, up) in enumerate(bnd.pairs_mp(fams, xm)):
                 for side, diff in (
-                    ("lower", None if lo is None else mpf_sub(ref, lo._mpf_, prec, rnd)),
-                    ("upper", None if up is None else mpf_sub(up._mpf_, ref, prec, rnd)),
+                    ("lower", None if lo is None else ref - lo),
+                    ("upper", None if up is None else up - ref),
                 ):
                     if diff is None:
                         continue
-                    margin = mpf_div(diff, ref, prec, rnd)
-                    mf = to_float(margin, rnd=rnd)
+                    margin = diff / ref
+                    mf = float(margin)
                     worst[i] = min(worst[i], mf)
-                    if mpf_le(margin, strict):
-                        witnesses[i].append((float(xm), f"{side} bound violated, margin {mf!r}"))
+                    if margin <= strict:
+                        witnesses[i].append((x, f"{side} bound violated, margin {mf!r}"))
     return [
         VerificationReport(
             check_id=f"containment:{fam.id}",
@@ -336,9 +333,10 @@ def check_sharpness(kind: str, epsilon: float, digits: int | None = None) -> Ver
     """Show the constants 1/6, 2/pi - 1/2, 6 and (1/2+sqrt(2))*pi are sharp.
 
     For the two thresholds the check perturbs b by epsilon past the sharp
-    value and sweeps x = 1 - 10**-k (or 10**-k) until the inequality flips;
-    the flip point is the witness.  For thm3_constants it pins F at the two
-    endpoints to the claimed constants.
+    value and takes the upper margin at all 12 points x = 1 - 10**-k (or
+    10**-k), k = 1..12: the worst margin is over all of them, and the first
+    point where the inequality flips is the witness.  For thm3_constants it
+    pins F at the two endpoints to the claimed constants.
     """
     digits = resolve_digits(digits)
     if kind not in SHARPNESS_KINDS:
@@ -430,13 +428,12 @@ def _comparisons():
 def check_identities(n: int, seed: int = 0, digits: int | None = None) -> VerificationReport:
     """Discriminant identity plus the coincidence/dominance/two-way structure.
 
-    The comparisons of _comparisons() run together, in one pass over each
-    point set: each point takes one bounds.pairs_mp call for the families
-    of the comparisons still running there.  Each keeps its own stop rule
-    (an equal or first_tighter comparison stops at its first failure, a
-    two_way one once it has both witnesses), so the witnesses are those of
-    one loop per comparison, and they are reported in _comparisons() order,
-    after the discriminant witnesses.
+    The comparisons of _comparisons() run in one pass over each point set,
+    with one bounds.PairMemo per point: a family's kernel runs there only if
+    a comparison still open reads it.  An equal or first_tighter comparison
+    closes at its first failure, a two_way one once each family has been the
+    tighter at a point, so the reports are those of one loop per comparison;
+    the witnesses follow the discriminant's, in _comparisons() order.
     """
     digits = resolve_digits(digits)
     n = _count(n, "samples", 1000)
@@ -464,27 +461,20 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
 
     # (ii)+(iii) side-by-side structure of the four concrete inequalities
     comps = _comparisons()
-
-    def values(active, xm):
-        """(va, vb) of each active comparison at xm."""
-        fams = list(dict.fromkeys(fam for k in active for fam in comps[k][1:3]))
-        got = dict(zip(fams, bnd.pairs_mp(fams, xm)))
-        return [(got[fa][_SIDE[s]], got[fb][_SIDE[s]]) for s, fa, fb, _ in (comps[k] for k in active)]
-
     worst = [math.inf] * len(comps)
     found = [None] * len(comps)  # the one witness each comparison may give
+    seps = [{} for _ in comps]  # two_way: {fa is the tighter: first separation}
     grid_d = [i / 200 for i in range(1, 200)]
     with hp_context(digits):
-        # equal on every point of eq_pts, first_tighter on every 5th, each
-        # until its first failure
-        eq_pts = [mpf(i) / 1000 for i in range(1, 1000)]
-        running = [k for k, comp in enumerate(comps) if comp[3] != "two_way"]
-        for j, xm in enumerate(eq_pts):
-            active = [k for k in running if comps[k][3] == "equal" or j % 5 == 0]
-            if not active:
-                continue
-            for k, (va, vb) in zip(active, values(active, xm)):
-                side, fa, fb, relation = comps[k]
+        for j in range(999):
+            xm = mpf(j + 1) / 1000
+            pair = bnd.PairMemo(xm)
+            for k, (side, fa, fb, relation) in enumerate(comps):
+                # equal on every point, first_tighter on every 5th, each
+                # until its first failure
+                if relation == "two_way" or found[k] or (relation == "first_tighter" and j % 5):
+                    continue
+                va, vb = pair[fa][_SIDE[side]], pair[fb][_SIDE[side]]
                 if relation == "equal":
                     margin = 1e-12 - float(abs(va - vb) / va)
                     text = f"{side}:{fa.id} vs {fb.id} not coincident"
@@ -494,33 +484,20 @@ def check_identities(n: int, seed: int = 0, digits: int | None = None) -> Verifi
                 worst[k] = min(worst[k], margin)
                 if margin <= 0.0:
                     found[k] = (float(xm), text)
-                    running.remove(k)
-            if not running:
-                break
-        # two_way on grid_d until both witnesses are found: a point where
-        # the first family is tighter, and one where the second is
-        tighter = {k: [None, None] for k, comp in enumerate(comps) if comp[3] == "two_way"}
-        running = list(tighter)
         for x in grid_d:
-            if not running:
-                break
-            xm = mpf(x)
-            for k, (va, vb) in zip(running, values(running, xm)):
-                sep = float(abs(va - vb) / va)
-                if sep < 1e-14:
+            pair = bnd.PairMemo(mpf(x))
+            for k, (side, fa, fb, relation) in enumerate(comps):
+                if relation != "two_way" or len(seps[k]) == 2:
                     continue
-                tighter_a = va > vb if comps[k][0] == "lower" else va < vb
-                slot = 0 if tighter_a else 1
-                if tighter[k][slot] is None:
-                    tighter[k][slot] = (x, sep)
-            running = [k for k in running if None in tighter[k]]
-    for k, pts in tighter.items():
-        side, fa, fb, _ = comps[k]
-        if None in pts:
-            found[k] = ([0.0, 0.0], f"{side}:{fa.id} vs {fb.id}: no two-way witnesses found")
-            worst[k] = -1.0
-        else:
-            worst[k] = min(pts[0][1], pts[1][1])
+                va, vb = pair[fa][_SIDE[side]], pair[fb][_SIDE[side]]
+                sep = float(abs(va - vb) / va)
+                if sep >= 1e-14:
+                    seps[k].setdefault((va > vb) == (side == "lower"), sep)
+    for k, (side, fa, fb, relation) in enumerate(comps):
+        if relation == "two_way":
+            worst[k] = min(seps[k].values()) if len(seps[k]) == 2 else -1.0
+            if worst[k] < 0.0:
+                found[k] = ([0.0, 0.0], f"{side}:{fa.id} vs {fb.id}: no two-way witnesses found")
     margins.extend(worst)
     witnesses.extend(w for w in found if w is not None)
     return VerificationReport(

@@ -232,6 +232,7 @@ def test_verify_passes_and_is_deterministic():
         (("--seed", "7", "--format", "csv"), "verify_seed7.csv"),
         (("--seed", "7", "--precision", "17"), "verify_seed7_precision17.json"),
         (("--seed", "7", "--precision", "120"), "verify_seed7_precision120.json"),
+        (("--seed", "7", "--precision", "200"), "verify_seed7_precision200.json"),
     ],
 )
 def test_verify_stdout_matches_golden_file(args, golden):

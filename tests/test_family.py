@@ -392,6 +392,47 @@ def test_float64_chain_matches_50_digits(name):
         assert fn(EvalPoint(x)) == v64, x
 
 
+def _chain_closed_forms(x):
+    """g' at _P, h, q, g'' and G at x from their closed forms, at the working precision."""
+    a, b = mpf(_P.a), mpf(_P.b)
+    ac, s = mp.acos(x), mp.sqrt((1 - x) * (1 + x))
+    h = ac * ac + x * s * ac + 2 * (x - 1) * (x + 1)
+    return {
+        "g_prime": a - b - 1 / (ac * ac) + x / (s * ac),
+        "h": h,
+        "q": 3 * x * s / (1 + 2 * x * x) - ac,
+        "g_second": h / (s**3 * ac**3),
+        "big_g": ac - (mp.sqrt(1 + x) + 2 * mp.sqrt(2)) * mp.sqrt(1 - x) / (1 + mp.sqrt(2 * (x + 1))),
+    }
+
+
+@pytest.mark.parametrize("digits", [17, 40, 200])
+def test_digit_requests_keep_their_digits_near_one(digits):
+    # the closed forms cancel as x -> 1, by about (1-x)**2 for h, q, g'' and
+    # G; at x = 1 - 2**-k a digits request still carries `digits` digits of
+    # the closed forms at 650 digits, where 1 - x = 2**-300 cancels 181
+    for k in (1, 2, 5, 12, 30, 53, 66, 90, 150, 300):
+        if k > 3.3 * digits:
+            continue  # 1 - 2**-k takes more than `digits` digits
+        with workdps(650):
+            x = 1 - mpf(2) ** -k
+            refs = _chain_closed_forms(x)
+        for name, (_, fn, _, _) in _CHAIN_F64.items():
+            got = fn(EvalPoint(x, digits))
+            with workdps(650):
+                err = abs(got - refs[name]) / abs(refs[name])
+            assert err < mpf(10) ** (1 - digits), (name, k)
+
+
+def test_chain_signs_hold_at_1e_30_from_one():
+    # at 40 digits the closed forms alone gave q = h = g'' = 0 and G > 0 here
+    x = "0.999999999999999999999999999999"
+    q, h, g2, big_g = (chain_eval(w, EvalPoint(x, 40)) for w in ("q", "h", "g_second", "big_g"))
+    assert q < 0 < h and big_g < 0
+    with workdps(40):
+        assert abs(g2 - mpf(2) / 45) < mpf("1e-25")  # g'' -> 2/45 as x -> 1
+
+
 def test_chain_series_coefficients_match_50_digits():
     exact = {"K": family._K_EXACT, "Q": family._Q_EXACT, "G": family._G_EXACT}
     assert exact["K"][:2] == [(1, 3), (1, 45)]

@@ -463,8 +463,15 @@ def _identities_reference(n, seed, digits=40):
     return VerificationReport("identities", n + 999 + len(grid_d), min(margins), not witnesses, witnesses)
 
 
+@pytest.mark.parametrize("digits", [17, 40, 200])
+def test_identities_pass_as_one_loop_per_comparison_at_each_precision(digits):
+    # the families' mpmath kernels are rebuilt at each working precision
+    got = check_identities(1000, seed=4, digits=digits)
+    assert got.passed
+    assert got.to_dict() == _identities_reference(1000, 4, digits).to_dict()
+
+
 def test_identities_match_one_loop_per_comparison(monkeypatch):
-    assert check_identities(1000, seed=4).to_dict() == _identities_reference(1000, 4).to_dict()
     c, t2, tr, t3 = carlson(), thm2(ONE_SIXTH), thm2_reversed(B_STAR), thm3()
     # failing relations (coincidence, dominance either way, a coincident
     # pair called two-way), some at the first point and some further on,
