@@ -166,6 +166,15 @@ class BoundFamily:
         # rebuild from the fields: the cached float64 kernel is a closure
         return BoundFamily, (self.kind, self.b, self.a)
 
+    def __hash__(self) -> int:
+        # the dataclass hash of the frozen fields, computed once: PairMemo
+        # looks families up on every point
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.b, self.a))
+
     @cached_property
     def id(self) -> str:
         params = _KIND_PARAMS[self.kind]

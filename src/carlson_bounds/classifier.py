@@ -13,14 +13,16 @@ closed-form region conditions to those signs in their published order,
 with a fixed float64 band derived in its docstring; classify_numeric
 reconstructs the class from them with a caller-chosen tol.  Every zero of g' comes from
 _g_prime_root, one safeguarded Newton iteration whose slope g'' is the
-parameter-free proof-chain function.  At 40 digits the sign of min g
-needs no polished zero: g'' >= 2/45 on [0, 1), so at the float64 zero x64
-of g'
+parameter-free proof-chain function.  The float64 zero x64 of g' is
+sought once per Params object and kept on it, so the two classifiers of
+one object share it.  At 40 digits the sign of min g needs no polished
+zero: g'' >= 2/45 on [0, 1), so
 
     g(x64) - g'(x64)**2 * 45/4 <= min g <= g(x64),
 
-one g and one g' evaluation, decides every |min g| above about 3e-26.
-Only a narrower min g polishes the zero at 40 digits.
+one evaluation of g and g' together, on one 40-digit arccos, decides
+every |min g| above about 3e-26.  Only a narrower min g polishes the zero
+at 40 digits.
 
 The published strictly-increasing condition inside the window is
 a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold only bounds the exact
@@ -279,10 +281,15 @@ def _g_prime_zero64(p: Params):
     Float64 g' errs by under 4e-15 absolute (pinned by
     test_float64_chain_matches_50_digits), within _SIGN_BAND = 1e-14, so
     _sign_exact reads the sign of g'(_TOP) at 40 digits only below that.
+    The zero depends on (a, b) alone, so it is sought once per Params object
+    and kept on it, written past the frozen dataclass as cached_property
+    does: both classifiers of one object share it, and equality, hash, repr
+    and asdict, which read the fields, do not see it.
     """
-    if _sign_exact(lambda m: family._g_prime(m, p, m.num(_TOP)), _SIGN_BAND) <= 0:
-        return None
-    return _g_prime_root(p, 0.0, _TOP, 1e-12)
+    if "_zero64" not in p.__dict__:
+        top = _sign_exact(lambda m: family._g_prime(m, p, m.num(_TOP)), _SIGN_BAND)
+        p.__dict__["_zero64"] = None if top <= 0 else _g_prime_root(p, 0.0, _TOP, 1e-12)
+    return p.__dict__["_zero64"]
 
 
 def _g_min(p: Params, m, x64):
@@ -291,10 +298,11 @@ def _g_min(p: Params, m, x64):
     x64 is _g_prime_zero64(p).  m = _F64 takes g there (at _TOP when x64
     is None), which resolves min g to about g'' * 1e-24.
 
-    m = _MP evaluates g and g' once each at x64, at 40 digits and on p
-    itself (the rounded a - b of a tangent pair (d/2, -d/2) is off by up to
-    half an ulp, enough to flip the sign of a min g below about 3e-17), and
-    encloses min g:
+    m = _MP evaluates g and g' together at x64, from one 40-digit arccos
+    (family._g_and_g_prime; each has the bits of g_eval and g_prime_eval
+    there), on p itself (the rounded a - b of a tangent pair (d/2, -d/2) is
+    off by up to half an ulp, enough to flip the sign of a min g below
+    about 3e-17), and encloses min g:
 
         g(x64) - g'(x64)**2 / (2 inf g'') <= min g <= g(x64).
 
@@ -326,8 +334,8 @@ def _g_min(p: Params, m, x64):
             return family.g_eval(p, EvalPoint(hi, 40))
     else:
         pt = EvalPoint(x64, 40)
-        upper = family.g_eval(p, pt)
-        lower = upper - family.g_prime_eval(p, pt) ** 2 * 45 / 4  # 2 inf g'' = 4/45
+        upper, slope = family._evaluate(pt, family._g_and_g_prime, p, include_zero=True)
+        lower = upper - slope**2 * 45 / 4  # 2 inf g'' = 4/45
         if upper < -_HP_ZERO:
             return upper
         if lower > _HP_ZERO:
@@ -340,9 +348,9 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
     """Class from computed signs of g(0), g(1-), the g' limits and min g.
 
     Signs smaller than tol in float64 are re-evaluated at high precision;
-    for min g that is the enclosure of _g_min, one 40-digit g and g' at
-    the float64 zero of g', polished by Newton only when the enclosure
-    straddles zero.  A minimum of g still indistinguishable from zero at
+    for min g that is the enclosure of _g_min, g and g' from one 40-digit
+    evaluation at the float64 zero of g', polished by Newton only when the
+    enclosure straddles zero.  A minimum of g still indistinguishable from zero at
     40 digits yields Indeterminate.
     """
     if not 0.0 < tol <= 1e-3:
@@ -405,20 +413,25 @@ def extrema_points(p: Params) -> ExtremaReport:
 
     The roots are family._envelope_extrema's, so for a == b the one root
     of the linear equation is a+b; a == b == 0 is fully degenerate and
-    raises.
+    raises, and so does a report float64 cannot hold (JSON has no inf or
+    NaN to print it with): an overflowing discriminant, root or coefficient,
+    or a - b too small to square.
     """
     if p.a == p.b == 0.0:
         raise ValueError("degenerate parameters: a = b and a + b = 0")
-    disc_closed = family._envelope_disc(_F64, p)
-    disc_quadratic = _disc_quadratic(p)
-    x1, x2 = family._envelope_extrema(_F64, p)
-    max_coeff = None
-    min_coeff = None
-    if x1 is not None and 0.0 < x1 < 1.0:
-        max_coeff = float(family.envelope_eval(p, EvalPoint(x1)))
-    if x2 is not None and 0.0 < x2 < 1.0:
-        min_coeff = float(family.envelope_eval(p, EvalPoint(x2)))
-    return ExtremaReport(disc_closed, disc_quadratic, x1, x2, max_coeff, min_coeff)
+    x2 = max_coeff = min_coeff = None
+    try:
+        x1, x2 = family._envelope_extrema(_F64, p)
+        if x1 is not None and 0.0 < x1 < 1.0:
+            max_coeff = float(family.envelope_eval(p, EvalPoint(x1)))
+        if x2 is not None and 0.0 < x2 < 1.0:
+            min_coeff = float(family.envelope_eval(p, EvalPoint(x2)))
+    except (OverflowError, ZeroDivisionError):  # exp overflows, or (a - b)**2 is 0
+        x1 = math.inf  # refused below
+    values = (family._envelope_disc(_F64, p), _disc_quadratic(p), x1, x2, max_coeff, min_coeff)
+    if not all(v is None or math.isfinite(v) for v in values):
+        raise ValueError(f"envelope extrema of (a, b) = ({p.a}, {p.b}) leave the float64 range")
+    return ExtremaReport(*values)
 
 
 def necessary_increasing(p: Params) -> bool:

@@ -30,7 +30,7 @@ from carlson_bounds.bounds import (
     thm2_reversed,
     thm3,
 )
-from carlson_bounds import bounds, family
+from carlson_bounds import bounds, classifier, family
 from carlson_bounds.family import Params
 from carlson_bounds.oracle import HPValue, acos_mp, arccos_hp, arccos_stable
 
@@ -84,6 +84,39 @@ def test_validity_predicates():
     # a = b = 0 has no extrema to place, and is in neither class
     assert not thm2_maxcoef(0.0, 0.0).is_valid
     assert not thm2_mincoef(0.0, 0.0).is_valid
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1e300, 1.0), (-1e300, 0.5), (1e200, 1000.0), (1e-150, 1e-150 * (1 - 2**-52)), (5.3023e-319, 5.3023e-319)],
+)
+def test_coefficient_validity_is_false_where_extrema_leave_float64(a, b):
+    # extrema_points refuses these (a, b), but the class gate turns them
+    # away first: is_valid stays a bool
+    with pytest.raises(ValueError, match="float64 range"):
+        classifier.extrema_points(Params(a, b))
+    assert thm2_maxcoef(a, b).is_valid is False
+    assert thm2_mincoef(a, b).is_valid is False
+
+
+def test_coefficient_class_gate_keeps_finite_discriminants():
+    # UniqueMax and UniqueMin lie in the window with a <= 1/2 < a+b or
+    # a+b <= 2/pi < 1/2 < a, a bounded set: every (a, b) the class gate
+    # keeps has finite discriminants, so is_valid never meets the refusal
+    rng = random.Random(8259)
+    kept = 0
+    for _ in range(4000):
+        if rng.random() < 0.5:  # around both classes
+            d, s = rng.uniform(0.3, 0.45), rng.uniform(0.55, 0.7)
+        else:
+            d, s = (rng.choice([-1, 1]) * 10 ** rng.uniform(-300, 300) for _ in range(2))
+        p = Params((s + d) / 2, (s - d) / 2)
+        if classifier.classify_symbolic(p) in (classifier.RegionClass.UNIQUE_MAX, classifier.RegionClass.UNIQUE_MIN):
+            kept += 1
+            rep = classifier.extrema_points(p)
+            assert math.isfinite(rep.disc_closed) and math.isfinite(rep.disc_quadratic), p
+            assert isinstance(thm2_maxcoef(p.a, p.b).is_valid, bool)
+    assert kept > 50
 
 
 def test_coefficient_validity_near_two_over_pi():
@@ -202,6 +235,19 @@ def test_family_pickles_after_use():
         copy = pickle.loads(pickle.dumps(fam))
         assert copy == fam
         assert copy.pair_f64(0.5) == fam.pair_f64(0.5)
+
+
+def test_family_hash_is_the_field_hash_and_does_not_travel():
+    # the hash is computed once, from the fields: equal families hash equal,
+    # and a pickle rebuilds from the fields, so it takes the hash of the
+    # process that loads it (str hashes differ between processes)
+    for fam in (carlson(), thm2(0.2), thm2_reversed(0.1), thm2_maxcoef(0.5, 0.14)):
+        twin = bounds.BoundFamily(fam.kind, b=fam.b, a=fam.a)
+        assert hash(fam) == hash(twin) == hash((fam.kind, fam.b, fam.a))
+        assert {fam: 1}[twin] == 1
+        data = pickle.dumps(fam)
+        assert b"_hash" not in data
+        assert hash(pickle.loads(data)) == hash(fam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -113,25 +116,15 @@ def test_numeric_min_g_fallback_at_exact_boundary(d, monkeypatch):
 
 @pytest.mark.parametrize("d", [0.34, 0.36, 0.38, 0.40])
 def test_numeric_min_g_fallback_work_is_bounded(d, monkeypatch):
-    # the 40-digit sign of min g costs one g' evaluation at the float64
-    # zero of g' (a few Newton steps where it polishes), not 120 halvings
-    from carlson_bounds import family
-
-    calls = []
-    for name in ("g_prime_eval", "chain_eval"):
-        real = getattr(family, name)
-
-        def counting(*args, _real=real):
-            calls.append(args[-1].digits)
-            return _real(*args)
-
-        monkeypatch.setattr(family, name, counting)
+    # the 40-digit sign of min g costs one arccos at the float64 zero of g'
+    # (a few Newton steps where it polishes), not 120 halvings
+    acos = _count_acos_mp(monkeypatch)
     s_star = exact_increasing_threshold(d)
     for ds in (1e-11, -1e-11):
         s = s_star + ds
-        calls.clear()
+        acos.clear()
         classify_numeric(Params((s + d) / 2, (s - d) / 2))
-        assert 0 < calls.count(40) <= 8, calls
+        assert 0 < len(acos) <= 8, acos
 
 
 def _tangent_theta(d):
@@ -234,6 +227,19 @@ def _count_hp_calls(monkeypatch):
     return calls
 
 
+def _count_acos_mp(monkeypatch):
+    """Working precision of every family.acos_mp call, the digit-count arccos."""
+    seen = []
+    real = family.acos_mp
+
+    def counting(x):
+        seen.append(mp.prec)
+        return real(x)
+
+    monkeypatch.setattr(family, "acos_mp", counting)
+    return seen
+
+
 def test_min_g_enclosure_holds_near_the_tangent_point():
     # g(x) - g'(x)**2 * 45/4 <= min g <= g(x) for any x: g'' >= 2/45
     rng = random.Random(45)
@@ -254,14 +260,17 @@ def test_min_g_enclosure_holds_near_the_tangent_point():
 @pytest.mark.parametrize("off", [1e-11, -1e-11, 1e-13, -1e-13])
 def test_min_g_enclosure_decides_without_the_polish(off, monkeypatch):
     calls = _count_hp_calls(monkeypatch)
+    acos = _count_acos_mp(monkeypatch)
     rng = random.Random(11)
     for _ in range(20):
         d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
         a, b = _pair_at(d, _s_star50(d), off)
-        for seen in calls.values():
+        for seen in (*calls.values(), acos):
             seen.clear()
         assert classify_numeric(Params(a, b)) is _window_class(a, b), (a, b)
-        assert calls["g_prime_eval"].count(40) == 1, (a, b, calls)
+        # g and g' at the float64 zero of g' share one 40-digit arccos
+        assert len(acos) == 1, (a, b, acos)
+        assert calls["g_prime_eval"].count(40) == 0, (a, b, calls)
         assert calls["chain_eval"].count(40) == 0, (a, b, calls)
 
 
@@ -371,6 +380,50 @@ def test_symbolic_numeric_disagreements_only_in_documented_strip():
         if num is not sym:
             mismatches.append((p, sym, num))
     assert not mismatches, mismatches
+
+
+def test_second_classifier_of_one_params_seeks_no_zero_of_g_prime(monkeypatch):
+    # the float64 zero of g' is kept on the Params object, so whichever
+    # classifier comes second evaluates no float64 g' and gives the class
+    # a fresh object gets
+    rng = random.Random(19)
+    calls = _count_hp_calls(monkeypatch)
+    for _ in range(20):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        s = exact_increasing_threshold(d) + rng.choice([1e-11, -1e-11, 1e-3, -1e-3])
+        a, b = (s + d) / 2, (s - d) / 2
+        for first, second in ((classify_numeric, classify_symbolic),
+                              (classify_symbolic, classify_numeric)):
+            want = second(Params(a, b))
+            p = Params(a, b)
+            first(p)
+            calls["g_prime_eval"].clear()
+            assert second(p) is want, (a, b)
+            assert calls["g_prime_eval"].count(None) == 0, (a, b, second.__name__)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (0.52, 0.13),  # in the window, decided in float64
+        (0.51375, 0.12375),  # MaxThenMin
+        (0.5, 0.5 - (ONE_THIRD + 4e-14)),  # zero of g' above the float64 bracket: None is kept
+        (0.55, 0.0),  # outside the window: no zero is sought
+    ],
+)
+def test_classified_params_stay_equal_to_a_fresh_one(a, b):
+    # the kept zero of g' is no field: equality, hash, repr and asdict read
+    # (a, b) alone, and pickles and copies classify alike
+    p = Params(a, b)
+    classes = (classify_numeric(p), classify_symbolic(p), classify_numeric(p, 1e-4))
+    fresh = Params(a, b)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh)
+    assert dataclasses.asdict(p) == dataclasses.asdict(fresh) == {"a": a, "b": b}
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+        assert (classify_numeric(q), classify_symbolic(q), classify_numeric(q, 1e-4)) == classes
+    assert (classify_numeric(fresh), classify_symbolic(fresh), classify_numeric(fresh, 1e-4)) == classes
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +575,22 @@ def test_extrema_at_a_equal_b_are_the_certified_root_and_coefficient():
         rep = extrema_points(Params(a, a))
         assert rep.x1 == a + a, a
         assert rep.max_coeff == thm2_maxcoef(a, a)._coefficient(family._F64, True), a
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1.0199534000186689e141, 3.4077169313384956e61),  # discriminants -inf and NaN
+        (1e200, 1e200),  # a = b: disc_quadratic is 0 * inf
+        (1e-150, 1e-150 * (1 - 2**-52)),  # (a - b)**2 is 0 under a positive discriminant
+        (5.3023e-319, 5.3023e-319),  # the envelope at x1 = a + b divides by a subnormal
+        (5.575959605369805e-238, 85377874756137.6),  # the envelope's exp overflows
+    ],
+)
+def test_extrema_beyond_float64_raise(a, b):
+    # JSON has no inf or NaN: a report float64 cannot hold is refused
+    with pytest.raises(ValueError, match="float64 range"):
+        extrema_points(Params(a, b))
 
 
 def test_discriminant_identity_bulk():

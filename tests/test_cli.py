@@ -169,6 +169,33 @@ def test_extrema_degenerate_exits_64(capsys):
     capsys.readouterr()
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which RFC 8259 lacks."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [("1.0199534000186689e+141", "3.4077169313384956e+61"), ("1e200", "1e200"), ("5.3023e-319", "5.3023e-319")],
+)
+def test_extrema_and_classify_print_only_json_beyond_float64(a, b, capsys):
+    # the extrema of these (a, b) overflow float64: extrema refuses them
+    # with exit 64, and classify reports "extrema": null
+    assert main(["extrema", "--a", a, "--b", b]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float64 range" in captured.err
+    code, out = run_main(capsys, "classify", "--a", a, "--b", b)
+    assert code == EXIT_OK
+    data = _strict_json(out)
+    assert data["extrema"] is None
+    code, out = run_main(capsys, "extrema", "--a", "0.5", "--b", "0.14")
+    assert code == EXIT_OK and _strict_json(out)["x1"] is not None
+
+
 # ---------------------------------------------------------------------------
 # table
 
