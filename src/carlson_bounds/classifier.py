@@ -32,8 +32,9 @@ increasing (for example (a, b) = (0.52, 0.13)), so the published
 max-then-min condition, read on its own, is too wide.  classify_symbolic
 therefore reads the sign of min g, which tests the exact boundary; the
 max-then-min branch is then only reached below it, where the published
-condition is exact.  increasing_threshold, in_max_then_min_region and
-family.g_min_lower_bound keep the published, merely sufficient, forms.
+condition is exact.  increasing_threshold (written once, in family, and
+imported here), in_max_then_min_region and family.g_min_lower_bound keep
+the published, merely sufficient, forms.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from enum import Enum
 from mpmath import mpf
 
 from . import family
-from .family import _F64, _MP, EvalPoint, Params
+from .family import _F64, _MP, EvalPoint, Params, increasing_threshold
 from .oracle import hp_context
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -85,13 +86,6 @@ class ExtremaReport:
     x2: float | None
     max_coeff: float | None
     min_coeff: float | None
-
-
-def increasing_threshold(d: float) -> float:
-    """Threshold 2*d**1.5/sqrt(4d-1) on a+b; above it min g >= 0. Needs d > 1/4."""
-    if 4.0 * d - 1.0 <= 0.0:
-        raise ValueError(f"threshold needs a - b > 1/4, got a - b = {d}")
-    return 2.0 * d**1.5 / math.sqrt(4.0 * d - 1.0)
 
 
 def exact_increasing_threshold(d: float) -> float:

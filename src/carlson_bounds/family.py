@@ -430,12 +430,16 @@ def envelope_eval(p: Params, pt: EvalPoint):
     return _evaluate(pt, _envelope, p, include_zero=False)
 
 
-def g_min_lower_bound(p: Params) -> float:
-    """Lower bound a+b - 2(a-b)**1.5/sqrt(4(a-b)-1) for min g; needs a-b > 1/4."""
-    d = p.a - p.b
+def increasing_threshold(d: float) -> float:
+    """Threshold 2*d**1.5/sqrt(4d-1) on a+b; above it min g >= 0. Needs d > 1/4."""
     if 4.0 * d - 1.0 <= 0.0:
-        raise ValueError(f"g_min_lower_bound needs a - b > 1/4, got a - b = {d}")
-    return p.a + p.b - 2.0 * d**1.5 / math.sqrt(4.0 * d - 1.0)
+        raise ValueError(f"threshold needs a - b > 1/4, got a - b = {d}")
+    return 2.0 * d**1.5 / math.sqrt(4.0 * d - 1.0)
+
+
+def g_min_lower_bound(p: Params) -> float:
+    """Lower bound a+b - increasing_threshold(a-b) for min g; needs a-b > 1/4."""
+    return p.a + p.b - increasing_threshold(p.a - p.b)
 
 
 # ---------------------------------------------------------------------------

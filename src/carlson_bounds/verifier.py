@@ -65,7 +65,7 @@ def _count(value, what: str, low: int, high: int | None = None) -> int:
     """
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or value < low or (high is not None and value > high):
+    if not isinstance(value, int) or isinstance(value, bool) or value < low or (high is not None and value > high):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{what} must be a whole number {span}, got {value!r}")
     return value

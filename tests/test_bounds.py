@@ -238,9 +238,9 @@ def test_family_pickles_after_use():
 
 
 def test_family_hash_is_the_field_hash_and_does_not_travel():
-    # the hash is computed once, from the fields: equal families hash equal,
-    # and a pickle rebuilds from the fields, so it takes the hash of the
-    # process that loads it (str hashes differ between processes)
+    # the hash is the frozen dataclass's hash of the fields: equal families
+    # hash equal, and a pickle rebuilds from the fields, so it takes the hash
+    # of the process that loads it (str hashes differ between processes)
     for fam in (carlson(), thm2(0.2), thm2_reversed(0.1), thm2_maxcoef(0.5, 0.14)):
         twin = bounds.BoundFamily(fam.kind, b=fam.b, a=fam.a)
         assert hash(fam) == hash(twin) == hash((fam.kind, fam.b, fam.a))

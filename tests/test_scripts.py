@@ -40,3 +40,26 @@ def test_region_map_rejects_grid_below_two():
     proc = run_script("region_map.py", "--n", "1")
     assert proc.returncode == 2
     assert "--n must be at least 2" in proc.stderr
+
+
+def test_width_profile_envelope_is_the_tightest():
+    proc = run_script("width_profile.py", "--points", "50")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert rows[0] == [
+        "x",
+        "width[carlson]",
+        "width[thm2(0.16666666666666666)]",
+        "width[thm2_reversed(0.13661977236758138)]",
+        "width[thm3]",
+        "width[envelope]",
+        "lower_family",
+        "upper_family",
+    ]
+    body = rows[1:]
+    assert len(body) == 50
+    for row in body:
+        family_widths = [float(w) for w in row[1:5]]
+        envelope = float(row[5])
+        # the envelope intersects the families' intervals
+        assert 0.0 < envelope <= min(family_widths), row

@@ -93,11 +93,11 @@ _COUNTED = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 1500.5, "1500", None, -1, "outside"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1500.5, "1500", None, -1, True, False, "outside"])
 @pytest.mark.parametrize("check", list(_COUNTED))
 def test_counts_must_be_whole_numbers_in_range(check, bad):
     # NaN once ran zero discriminant samples and passed; a fractional count
-    # raised TypeError
+    # raised TypeError; True ran as an endpoint depth of 1
     call, outside = _COUNTED[check]
     with pytest.raises(ValueError, match="must be a whole number"):
         call(outside if bad == "outside" else bad)
