@@ -11,8 +11,8 @@ lower(x) < arccos x < upper(x) on (0,1):
 plus the one-sided coefficient bounds thm2_maxcoef(a,b) (upper only) and
 thm2_mincoef(a,b) (lower only) built from the envelope extremum.  One
 table, _KIND_PARAMS, gives each kind's parameters: BoundFamily rejects an
-unknown kind, a missing parameter or an extra one with ValueError, and id
-and parse_family read the same table.
+unknown kind, a missing, extra or bool parameter with ValueError and keeps
+each parameter as a float, and id and parse_family read the same table.
 
 Each family is written once, in this square-root/power form, over a backend
 (family._F64 or family._MP): pair_f64 and pair_mp run the same expressions
@@ -153,7 +153,9 @@ class BoundFamily:
         params = _KIND_PARAMS.get(self.kind)
         if params is None:
             raise ValueError(f"invalid family kind {self.kind!r}")
-        if (self.a is not None, self.b is not None) != ("a" in params, "b" in params):
+        if (self.a is not None, self.b is not None) != ("a" in params, "b" in params) or any(
+            isinstance(getattr(self, name), bool) for name in params
+        ):
             raise ValueError(f"{self.kind} takes ({', '.join(params)}), got a = {self.a}, b = {self.b}")
         # |b| < 1023 keeps 2**(b+1/2) and (1+x)**b, 1+x in [1, 2), finite
         # and non-zero in float64
@@ -161,6 +163,9 @@ class BoundFamily:
             raise ValueError(f"{self.kind}: b must be finite with |b| < 1023, got {self.b}")
         if self.a is not None and not math.isfinite(self.a):
             raise ValueError(f"{self.kind}: a must be finite, got {self.a}")
+        # stored as floats, so that thm2(1) and thm2(1.0) share the id parse_family reads back
+        for name in params:
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def __reduce__(self):
         # rebuild from the fields: the cached float64 kernel is a closure
@@ -208,7 +213,7 @@ class BoundFamily:
 
     def pair_mp(self, x: mpf) -> tuple[mpf | None, mpf | None]:
         """Same expressions in mpmath arithmetic at the caller's precision."""
-        return self._kernel_mp()(*_shared_terms(x, 1, mp.sqrt, _two_sqrt2_mp(mp.prec)))
+        return PairMemo(x)[self]
 
     def _kernel_mp(self):
         """The mpmath kernel, with the family's constants at the working precision.
@@ -342,7 +347,7 @@ def _two_sqrt2_mp(prec: int) -> mpf:
 
 
 class PairMemo(dict):
-    """memo[fam] is fam.pair_mp(x); the shared terms of x are taken once, at the first lookup."""
+    """memo[fam] is fam's (lower, upper) at x in mpmath; the shared terms of x are taken once, at the first lookup."""
 
     def __init__(self, x: mpf):
         super().__init__()

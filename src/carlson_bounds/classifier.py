@@ -5,13 +5,11 @@ g is monotone or has a unique interior minimum, and the signs of five
 quantities decide how many times g (hence f') crosses zero: g(0) =
 a+b-2/pi, g(1-) = 2a-1, g'(0), g'(1-) and, in the window
 1/3 < a-b < 4/pi**2 where g' changes sign, min g.  One sign reader,
-_sign_exact, serves both classifiers: _edge_signs, _min_g_sign and the
-test of g' at the top of the float64 bracket in _g_prime_zero64 write each
-sign as one expression of a family backend, read in float64 and re-read
-at 40 digits when it is too close to zero.  classify_symbolic applies the
-closed-form region conditions to those signs in their published order,
-with a fixed float64 band derived in its docstring; classify_numeric
-reconstructs the class from them with a caller-chosen tol.  Every zero of g' comes from
+_sign_exact, takes each sign as one function of a family backend, reads
+it in float64 and re-reads it at 40 digits within _SIGN_BAND of zero, the
+one band, derived in its docstring.  classify_symbolic applies the
+closed-form region conditions to those signs in their published order;
+classify_numeric reconstructs the class from them.  Every zero of g' comes from
 _g_prime_root, one safeguarded Newton iteration whose slope g'' is the
 parameter-free proof-chain function.  The float64 zero x64 of g' is
 sought once per Params object and kept on it, so the two classifiers of
@@ -106,7 +104,7 @@ def exact_increasing_threshold(d: float) -> float:
     if not ONE_THIRD < d < FOUR_OVER_PI_SQ:
         raise ValueError(f"exact threshold needs 1/3 < a - b < 4/pi**2, got a - b = {d}")
     p = Params(0.5 * d, -0.5 * d)
-    return -float(_g_min(p, _F64, _g_prime_zero64(p)))
+    return -float(_g_min(_F64, p, _g_prime_zero64(p)))
 
 
 def in_window(p: Params) -> bool:
@@ -126,7 +124,7 @@ def in_max_then_min_region(p: Params) -> bool:
     return TWO_OVER_PI < s < increasing_threshold(p.a - p.b) and p.a > 0.5
 
 
-# float64 error band of every sign classify_symbolic reads (see its docstring)
+# float64 error band of every classifier sign (see _sign_exact)
 _SIGN_BAND = 1e-14
 
 
@@ -138,11 +136,22 @@ def classify_symbolic(p: Params) -> RegionClass:
     _min_g_sign as classify_numeric; min g tests the exact boundary s*(d)
     in place of the published threshold.  Outside the window a unique max
     or min, which no published condition covers there, is Indeterminate.
+    """
+    s0, s1, lo, hi = _edge_signs(p)
+    if s0 <= 0 and s1 <= 0:
+        return RegionClass.STRICTLY_DECREASING
+    if (s0 >= 0 and lo >= 0) or (s1 >= 0 and hi <= 0):
+        return RegionClass.STRICTLY_INCREASING
+    if lo >= 0 or hi <= 0:
+        return RegionClass.INDETERMINATE
+    return _window_class(_min_g_sign(p), s0, s1)
 
-    A sign is read in float64 when its value is at least _SIGN_BAND = 1e-14
-    in size and at 40 digits otherwise.  A float64 value has the wrong sign
-    only when it is smaller than its own error, which the band covers, with
-    u = 2**-53:
+
+def _sign_exact(f, p: Params, *args) -> int:
+    """Sign of f(m, p, *args): in float64 outside _SIGN_BAND, else at 40 digits (0 if still ~0).
+
+    A float64 value has the wrong sign only when it is smaller than its own
+    error, which the band covers, with u = 2**-53:
 
     - The edge values round a+b or a-b correctly, by under u|a+/-b|; the
       constants 2.0/math.pi, 4.0/math.pi**2 and 1.0/3 are within 4e-17 of
@@ -160,27 +169,18 @@ def classify_symbolic(p: Params) -> RegionClass:
       exact: under 12u = 1.4e-15 in all.  g(x64) exceeds min g by under
       1e-25 (x64 is within about 1.1e-12 of the zero, _g_prime_zero64's
       width plus _ZERO64_RES, and g'' <= 0.12).
+    - g' at an interior x, the top of the float64 bracket in
+      _g_prime_zero64, errs by under 4e-15 (pinned by
+      test_float64_chain_matches_50_digits).
 
-    The band is over seven times the larger bound.  classify_numeric's tol
-    (1e-9 by default) would send far more inputs to 40 digits.
+    The band is over seven times the edge and min g bounds and 2.5 times
+    the g' one, so a wider band changes no sign, only the work.
     """
-    s0, s1, lo, hi = _edge_signs(p, _SIGN_BAND)
-    if s0 <= 0 and s1 <= 0:
-        return RegionClass.STRICTLY_DECREASING
-    if (s0 >= 0 and lo >= 0) or (s1 >= 0 and hi <= 0):
-        return RegionClass.STRICTLY_INCREASING
-    if lo >= 0 or hi <= 0:
-        return RegionClass.INDETERMINATE
-    return _window_class(_min_g_sign(p, _SIGN_BAND), s0, s1)
-
-
-def _sign_exact(expr, tol: float) -> int:
-    """Sign of expr(m) in float64; when below tol, of expr(m) at 40 digits (0 if still ~0)."""
-    value = expr(_F64)
-    if abs(value) >= tol:
+    value = f(_F64, p, *args)
+    if abs(value) >= _SIGN_BAND:
         return -1 if value < 0.0 else 1
     with hp_context(40):
-        v = expr(_MP)
+        v = f(_MP, p, *args)
         if v > _HP_ZERO:
             return 1
         if v < -_HP_ZERO:
@@ -188,20 +188,16 @@ def _sign_exact(expr, tol: float) -> int:
     return 0
 
 
-def _edge_signs(p: Params, tol: float) -> tuple[int, int, int, int]:
+def _edge_signs(p: Params) -> tuple[int, int, int, int]:
     """Signs of g(0), g(1-), g'(0) and g'(1-); the last two are (-1, 1) in the window."""
-    return (
-        _sign_exact(lambda m: family._g(m, p, 0), tol),
-        _sign_exact(lambda m: family._g_at_1(m, p), tol),
-        _sign_exact(lambda m: family._g_prime(m, p, 0), tol),
-        _sign_exact(lambda m: family._g_prime_at_1(m, p), tol),
-    )
+    return (_sign_exact(family._g, p, 0), _sign_exact(family._g_at_1, p),
+            _sign_exact(family._g_prime, p, 0), _sign_exact(family._g_prime_at_1, p))
 
 
-def _min_g_sign(p: Params, tol: float) -> int:
+def _min_g_sign(p: Params) -> int:
     """Sign of min g for p in the window, from _g_min at the float64 zero of g'."""
     x64 = _g_prime_zero64(p)
-    return _sign_exact(lambda m: _g_min(p, m, x64), tol)
+    return _sign_exact(_g_min, p, x64)
 
 
 def _window_class(sm: int, s0: int, s1: int) -> RegionClass:
@@ -272,21 +268,18 @@ def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None, x=None):
 def _g_prime_zero64(p: Params):
     """Float64 zero of g' in (0, _TOP) for p in the window; None when g'(_TOP) <= 0.
 
-    Float64 g' errs by under 4e-15 absolute (pinned by
-    test_float64_chain_matches_50_digits), within _SIGN_BAND = 1e-14, so
-    _sign_exact reads the sign of g'(_TOP) at 40 digits only below that.
     The zero depends on (a, b) alone, so it is sought once per Params object
     and kept on it, written past the frozen dataclass as cached_property
     does: both classifiers of one object share it, and equality, hash, repr
     and asdict, which read the fields, do not see it.
     """
     if "_zero64" not in p.__dict__:
-        top = _sign_exact(lambda m: family._g_prime(m, p, m.num(_TOP)), _SIGN_BAND)
+        top = _sign_exact(lambda m, p: family._g_prime(m, p, m.num(_TOP)), p)
         p.__dict__["_zero64"] = None if top <= 0 else _g_prime_root(p, 0.0, _TOP, 1e-12)
     return p.__dict__["_zero64"]
 
 
-def _g_min(p: Params, m, x64):
+def _g_min(m, p: Params, x64):
     """min g over [0, 1 - 1e-25], or at 40 digits a value of its sign.
 
     x64 is _g_prime_zero64(p).  m = _F64 takes g there (at _TOP when x64
@@ -341,15 +334,17 @@ def _g_min(p: Params, m, x64):
 def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
     """Class from computed signs of g(0), g(1-), the g' limits and min g.
 
-    Signs smaller than tol in float64 are re-evaluated at high precision;
+    _sign_exact re-reads each sign within _SIGN_BAND of zero at 40 digits;
     for min g that is the enclosure of _g_min, g and g' from one 40-digit
     evaluation at the float64 zero of g', polished by Newton only when the
-    enclosure straddles zero.  A minimum of g still indistinguishable from zero at
-    40 digits yields Indeterminate.
+    enclosure straddles zero.  A minimum of g still indistinguishable from
+    zero at 40 digits yields Indeterminate.  tol must lie in (0, 1e-3] and
+    chooses nothing: a float64 sign outside the band is exact, so the class
+    never depended on it.
     """
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
-    s0, s1, lo, hi = _edge_signs(p, tol)
+    s0, s1, lo, hi = _edge_signs(p)
     if lo >= 0:
         # g' > 0 on (0,1): g strictly increasing from a+b-2/pi to 2a-1
         if s0 >= 0:
@@ -364,23 +359,22 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
         if s1 >= 0:
             return RegionClass.STRICTLY_INCREASING
         return RegionClass.UNIQUE_MAX
-    return _window_class(_min_g_sign(p, max(tol, 1e-12)), s0, s1)
+    return _window_class(_min_g_sign(p), s0, s1)
 
 
 def critical_point_g(p: Params, tol: float) -> float | None:
     """Unique zero of g' in (0,1) to absolute tolerance tol, else None.
 
-    None is returned when g' has constant sign (a-b outside (1/3, 4/pi**2))
-    and also when the zero sits within tol of an endpoint, where no interior
-    sign change is resolvable at the requested tolerance.  A tol below
-    _ZERO64_RES = 1e-13, finer than float64 g' resolves its zero, has the
-    zero polished at 40 digits, so a tol finer than the float64 spacing there
-    yields the double nearest the zero.
+    None is returned when g' has constant sign (a-b outside (1/3, 4/pi**2),
+    read by _sign_exact at any tol) and when the zero sits within tol of an
+    endpoint, where no interior sign change is resolvable at the requested
+    tolerance.  A tol below _ZERO64_RES = 1e-13, finer than float64 g'
+    resolves its zero, has the zero polished at 40 digits, so a tol finer
+    than the float64 spacing there yields the double nearest the zero.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
-    _, _, lo_sign, hi_sign = _edge_signs(p, tol)
-    if lo_sign >= 0 or hi_sign <= 0:
+    if _sign_exact(family._g_prime, p, 0) >= 0 or _sign_exact(family._g_prime_at_1, p) <= 0:
         return None
     if family.g_prime_eval(p, EvalPoint(tol)) >= 0.0:
         return None

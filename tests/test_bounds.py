@@ -210,6 +210,28 @@ def test_parse_family_round_trip():
             parse_family(text)
 
 
+def test_family_parameters_are_floats_and_never_bools():
+    # an int parameter is kept as its float, so equal families share one id,
+    # which parse_family reads back; a bool is refused, as parse_family does
+    for fam, twin in (
+        (thm2(1), thm2(1.0)),
+        (thm2_reversed(0), thm2_reversed(0.0)),
+        (thm2_maxcoef(1, 0), thm2_maxcoef(1.0, 0.0)),
+        (thm2_mincoef(1, 0), thm2_mincoef(1.0, 0.0)),
+    ):
+        assert fam == twin and hash(fam) == hash(twin) and fam.id == twin.id
+        assert parse_family(fam.id) == fam
+    for make in (thm2, thm2_reversed, lambda v: thm2_maxcoef(v, 0.1), lambda v: thm2_mincoef(0.5, v)):
+        for bad in (True, False):
+            with pytest.raises(ValueError):
+                make(bad)
+    # a float parameter keeps every bit
+    rng = random.Random(23)
+    for b in [rng.uniform(-1022.0, 1022.0) for _ in range(100)] + [5e-324, -0.0, ONE_SIXTH]:
+        assert thm2(b).b.hex() == b.hex()
+        assert thm2_mincoef(b, -b).a.hex() == b.hex()
+
+
 def test_bad_family_construction_raises_value_error():
     # the kind table decides, at construction, for every caller
     with pytest.raises(ValueError, match="invalid family kind 'bogus'"):

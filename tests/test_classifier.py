@@ -89,11 +89,8 @@ def test_numeric_resolves_symbolic_gap():
     assert classify_numeric(Params(0.55, 0.0)) is MIN
 
 
-@pytest.mark.parametrize("d", [0.34, 0.36, 0.38, 0.40])
-def test_numeric_min_g_fallback_at_exact_boundary(d, monkeypatch):
-    # a+b within 1e-11 of s*(d) puts min g within about 1e-11 of zero, below
-    # the float64 tolerance: the sign must come from the 40-digit enclosure
-    # of min g at the float64 zero of g', the only high-precision region
+def _count_regions(monkeypatch):
+    """Digits of every high-precision region the classifier enters, as it enters them."""
     from carlson_bounds import classifier
 
     regions = []
@@ -104,8 +101,17 @@ def test_numeric_min_g_fallback_at_exact_boundary(d, monkeypatch):
         return real(digits)
 
     monkeypatch.setattr(classifier, "hp_context", counting)
+    return regions
+
+
+@pytest.mark.parametrize("d", [0.34, 0.36, 0.38, 0.40])
+def test_numeric_min_g_fallback_at_exact_boundary(d, monkeypatch):
+    # a+b within 5e-15 of s*(d) puts min g within about 5e-15 of zero, inside
+    # the float64 sign band: the sign must come from the 40-digit enclosure
+    # of min g at the float64 zero of g', the only high-precision region
+    regions = _count_regions(monkeypatch)
     s_star = exact_increasing_threshold(d)
-    for ds, want in ((1e-11, INC), (-1e-11, MTM)):
+    for ds, want in ((5e-15, INC), (-5e-15, MTM)):
         s = s_star + ds
         p = Params((s + d) / 2, (s - d) / 2)
         regions.clear()
@@ -120,7 +126,7 @@ def test_numeric_min_g_fallback_work_is_bounded(d, monkeypatch):
     # (a few Newton steps where it polishes), not 120 halvings
     acos = _count_acos_mp(monkeypatch)
     s_star = exact_increasing_threshold(d)
-    for ds in (1e-11, -1e-11):
+    for ds in (5e-15, -5e-15):
         s = s_star + ds
         acos.clear()
         classify_numeric(Params((s + d) / 2, (s - d) / 2))
@@ -257,7 +263,7 @@ def test_min_g_enclosure_holds_near_the_tangent_point():
             assert g - gp**2 * 45 / 4 <= min_g <= g, (a, d)
 
 
-@pytest.mark.parametrize("off", [1e-11, -1e-11, 1e-13, -1e-13])
+@pytest.mark.parametrize("off", [5e-15, -5e-15, 1e-15, -1e-15])
 def test_min_g_enclosure_decides_without_the_polish(off, monkeypatch):
     calls = _count_hp_calls(monkeypatch)
     acos = _count_acos_mp(monkeypatch)
@@ -276,9 +282,10 @@ def test_min_g_enclosure_decides_without_the_polish(off, monkeypatch):
 
 def test_min_g_polish_runs_where_the_enclosure_straddles_zero(monkeypatch):
     # at a+b = s*(d) to the double, min g is about 1e-17, which the
-    # enclosure at the float64 zero of g' decides alone.  At a point 1e-6
-    # off that zero the enclosure is 1e-14 to 1e-13 wide and straddles zero,
-    # so the Newton polish must run and give the class the enclosure gave.
+    # enclosure at the float64 zero of g' decides alone.  At a point 1e-7
+    # off that zero float64 g is still inside the sign band, and the
+    # enclosure is 2e-16 to 2e-15 wide and straddles zero, so the Newton
+    # polish must run and give the class the enclosure gave.
     from carlson_bounds import classifier
 
     rng = random.Random(0)
@@ -288,7 +295,7 @@ def test_min_g_polish_runs_where_the_enclosure_straddles_zero(monkeypatch):
         a, b = _pair_at(d, _s_star50(d), 0)
         points.append((Params(a, b), classify_numeric(Params(a, b))))
     real = classifier._g_prime_zero64
-    monkeypatch.setattr(classifier, "_g_prime_zero64", lambda p: real(p) - 1e-6)
+    monkeypatch.setattr(classifier, "_g_prime_zero64", lambda p: real(p) - 1e-7)
     calls = _count_hp_calls(monkeypatch)
     for p, want in points:
         calls["chain_eval"].clear()
@@ -296,7 +303,7 @@ def test_min_g_polish_runs_where_the_enclosure_straddles_zero(monkeypatch):
         assert calls["chain_eval"].count(40) > 0, p
 
 
-@pytest.mark.parametrize("off", [1e-11, -1e-11])
+@pytest.mark.parametrize("off", [5e-15, -5e-15])
 def test_min_g_polish_runs_when_the_zero_is_above_the_float64_bracket(off, monkeypatch):
     # a-b within 4.4e-14 of 1/3 puts the zero of g' above 1 - 1e-12, where
     # float64 has no zero to offer: the 40-digit polish locates it
@@ -308,6 +315,44 @@ def test_min_g_polish_runs_when_the_zero_is_above_the_float64_bracket(off, monke
     a, b = _pair_at(d, _s_star50(d), off)
     assert classify_numeric(Params(a, b)) is _window_class(a, b)
     assert calls["chain_eval"].count(40) > 0
+
+
+@pytest.mark.parametrize("off", [1e-11, -1e-11, 1e-13, -1e-13])
+def test_numeric_reads_signs_outside_the_band_in_float64_whatever_tol(off, monkeypatch):
+    # min g of 1e-13 or more in size is far above its float64 error (under
+    # 1.4e-15), so at every tol the class comes from float64 alone
+    regions = _count_regions(monkeypatch)
+    rng = random.Random(22)
+    for _ in range(10):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        a, b = _pair_at(d, _s_star50(d), off)
+        want = _window_class(a, b)
+        for tol in (1e-3, 1e-9, 1e-14):
+            regions.clear()
+            assert classify_numeric(Params(a, b), tol) is want, (a, b, tol)
+            assert regions == [], (a, b, tol, regions)
+
+
+def test_numeric_class_does_not_depend_on_tol():
+    # tol is validated and chooses nothing, even where a sign is within a few
+    # ulps of zero: a+b at 2/pi, a-b at 4/pi**2 and 1/3, a at 1/2, and the
+    # pairs just off a+b = 2/pi whose g(0) is about 1e-32 in size
+    rng = random.Random(2222)
+    points = []
+    with workdps(50):
+        for a in (rng.uniform(0.2, 0.45) for _ in range(10)):
+            points += [(a, _ulps(float(2 / mp.pi - a), k)) for k in range(-3, 4)]
+        for d in (4 / mp.pi**2, mpf(1) / 3):
+            for a in (rng.uniform(0.3, 0.7) for _ in range(10)):
+                points += [(a, _ulps(float(a - d), k)) for k in range(-3, 4)]
+    for b in (rng.uniform(0.05, 0.2) for _ in range(10)):
+        points += [(_ulps(0.5, k), b) for k in range(-3, 4)]
+    for k in (0, 1):
+        points += [(_ulps(0.6366197723675814, k), -3.935735335036498e-17),
+                   (-3.935735335036497e-17, _ulps(0.6366197723675814, k))]
+    for a, b in points:
+        classes = {classify_numeric(Params(a, b), tol) for tol in (1e-3, 1e-9, 1e-16, 1e-300)}
+        assert len(classes) == 1, (a, b, classes)
 
 
 def test_exact_threshold_matches_tangent_solve():
@@ -481,6 +526,23 @@ def test_critical_point_within_tol_of_zero(tol):
         with workdps(50):
             zero = mp.cos(_tangent_theta(mpf(p.a) - mpf(p.b)))
             assert abs(x0 - zero) <= tol, (d, x0)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_critical_point_reads_its_edge_signs_under_the_band(tol, monkeypatch):
+    # g'(1-) = a-b-1/3 is about 1e-8, far above its float64 error, and
+    # g(1-) = 2a-1 = 0 does not bear on g': no sign needs 40 digits.  The
+    # zero lies 2.25e-7 below x = 1, so a tol of 1e-6 finds none
+    regions = _count_regions(monkeypatch)
+    p = Params(0.5, 0.5 - (ONE_THIRD + 1e-8))
+    x0 = critical_point_g(p, tol)
+    assert regions == []
+    with workdps(50):
+        zero = mp.cos(_tangent_theta(mpf(p.a) - mpf(p.b)))
+        if 1 - zero < tol:
+            assert x0 is None
+        else:
+            assert abs(x0 - zero) <= tol, x0
 
 
 def test_critical_point_sign_change_across_bracket():
