@@ -12,15 +12,14 @@ closed-form region conditions to those signs in their published order;
 classify_numeric reconstructs the class from them.  Every zero of g' comes from
 _g_prime_root, one safeguarded Newton iteration whose slope g'' is the
 parameter-free proof-chain function.  The float64 zero x64 of g' is
-sought once per Params object and kept on it, so the two classifiers of
-one object share it.  At 40 digits the sign of min g needs no polished
-zero: g'' >= 2/45 on [0, 1), so
+sought on every double below 1, once per Params object, and kept on it,
+so the two classifiers of one object share it.  At 40 digits the sign of
+min g needs no polished zero: g'' >= 2/45 on [0, 1), so
 
     g(x64) - g'(x64)**2 * 45/4 <= min g <= g(x64),
 
-one evaluation of g and g' together, on one 40-digit arccos, decides
-every |min g| above about 3e-26.  Only a narrower min g polishes the zero
-at 40 digits.
+and g and g' at x64, each at 40 digits, decide every |min g| above about
+3e-26.  Only a narrower min g polishes the zero at 40 digits.
 
 The published strictly-increasing condition inside the window is
 a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold only bounds the exact
@@ -51,8 +50,8 @@ TWO_OVER_PI = 2.0 / math.pi
 FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 ONE_THIRD = 1.0 / 3.0
 
-# a double whose 50-digit re-evaluation is still below this is an exact zero
-# of the condition expression (e.g. 2a-1 at a = 0.5)
+# the zero band of _sign_exact's 40-digit re-read, not a test of an exact zero:
+# right for 2a-1 at a = 0.5, but ROADMAP item 4's g(0) = -4.0e-33 reads as 0
 _HP_ZERO = mpf(1e-30)
 
 
@@ -100,11 +99,13 @@ def exact_increasing_threshold(d: float) -> float:
     running from 2/pi at d = 4/pi**2 to 2/3 at d = 1/3 and lying below
     increasing_threshold(d).  t comes from the Newton iteration on g' for
     the pair (d/2, -d/2), whose a+b is exactly 0, so g there equals -s*(d).
+    g, stationary at t, is read there at 40 digits, off by under 1e-25, so
+    the result is s*(d) rounded to the nearest double (barring a near tie).
     """
     if not ONE_THIRD < d < FOUR_OVER_PI_SQ:
         raise ValueError(f"exact threshold needs 1/3 < a - b < 4/pi**2, got a - b = {d}")
     p = Params(0.5 * d, -0.5 * d)
-    return -float(_g_min(_F64, p, _g_prime_zero64(p)))
+    return -float(family.g_eval(p, EvalPoint(_g_prime_zero64(p), 40)))
 
 
 def in_window(p: Params) -> bool:
@@ -169,9 +170,9 @@ def _sign_exact(f, p: Params, *args) -> int:
       exact: under 12u = 1.4e-15 in all.  g(x64) exceeds min g by under
       1e-25 (x64 is within about 1.1e-12 of the zero, _g_prime_zero64's
       width plus _ZERO64_RES, and g'' <= 0.12).
-    - g' at an interior x, the top of the float64 bracket in
-      _g_prime_zero64, errs by under 4e-15 (pinned by
-      test_float64_chain_matches_50_digits).
+    - g' at an interior x, up to the top 1 - 2**-53 of the float64
+      bracket in _g_prime_zero64, errs by under 4e-15 (pinned by
+      test_float64_chain_matches_50_digits at 1 - k * 2**-53).
 
     The band is over seven times the edge and min g bounds and 2.5 times
     the g' one, so a wider band changes no sign, only the work.
@@ -220,8 +221,8 @@ def _window_class(sm: int, s0: int, s1: int) -> RegionClass:
 # |g'(x)| / _G2_INF of any x
 _G2_INF = 2.0 / 45.0
 
-# top of the float64 bracket of the zero of g'
-_TOP = 1.0 - 1e-12
+# top of the float64 bracket of the zero of g': the last double below 1
+_TOP = math.nextafter(1.0, 0.0)
 
 # the float64 zero of g' is off by up to about 1e-13 beyond the width it is
 # sought to (float64 g' errs by under 4e-15 absolute, 1.3e-15 measured at
@@ -268,10 +269,11 @@ def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None, x=None):
 def _g_prime_zero64(p: Params):
     """Float64 zero of g' in (0, _TOP) for p in the window; None when g'(_TOP) <= 0.
 
-    The zero depends on (a, b) alone, so it is sought once per Params object
-    and kept on it, written past the frozen dataclass as cached_property
-    does: both classifiers of one object share it, and equality, hash, repr
-    and asdict, which read the fields, do not see it.
+    None puts the zero above every double.  The zero depends on (a, b)
+    alone, so it is sought once per Params object and kept on it, written
+    past the frozen dataclass as cached_property does: both classifiers of
+    one object share it, and equality, hash, repr and asdict, which read
+    the fields, do not see it.
     """
     if "_zero64" not in p.__dict__:
         top = _sign_exact(lambda m, p: family._g_prime(m, p, m.num(_TOP)), p)
@@ -280,54 +282,47 @@ def _g_prime_zero64(p: Params):
 
 
 def _g_min(m, p: Params, x64):
-    """min g over [0, 1 - 1e-25], or at 40 digits a value of its sign.
+    """min g over [0, 1), or at 40 digits a value of its sign.
 
-    x64 is _g_prime_zero64(p).  m = _F64 takes g there (at _TOP when x64
-    is None), which resolves min g to about g'' * 1e-24.
-
-    m = _MP evaluates g and g' together at x64, from one 40-digit arccos
-    (family._g_and_g_prime; each has the bits of g_eval and g_prime_eval
-    there), on p itself (the rounded a - b of a tangent pair (d/2, -d/2) is
-    off by up to half an ulp, enough to flip the sign of a min g below
-    about 3e-17), and encloses min g:
+    x64 is _g_prime_zero64(p).  m = _F64 takes g there, which resolves min
+    g to about g'' * 1e-24.  m = _MP takes g and g' there at 40 digits, on
+    p itself (the rounded a - b of a tangent pair (d/2, -d/2) is off by up
+    to half an ulp, enough to flip the sign of a min g below about 3e-17),
+    and encloses min g:
 
         g(x64) - g'(x64)**2 / (2 inf g'') <= min g <= g(x64).
 
-    The upper bound holds at any point of [0, 1 - 1e-25].  The lower one
-    holds because g'' >= inf g'' = 2/45 on [0, 1), so g lies above the
-    parabola g(x64) + g'(x64) (x - x64) + (x - x64)**2 / 45, whose least
-    value it is.  g(x64) below -1e-30, the zero of _sign_exact, is returned
-    as is, and so is a lower bound above 1e-30; each has the sign of min g
-    and decides it.  The float64 iteration stops at |g'| <= 4.4e-14 or
-    within 1e-12 of the zero, and float64 g' errs by under 4e-15, so
-    |g'(x64)| is under about 5e-14, the enclosure at most about 3e-26 wide,
-    and every |min g| above that is decided.
+    The upper bound holds at any point of [0, 1).  The lower one holds
+    because g'' >= inf g'' = 2/45 on [0, 1), so g lies above the parabola
+    g(x64) + g'(x64) (x - x64) + (x - x64)**2 / 45, whose least value it
+    is.  g(x64) below -1e-30, the zero of _sign_exact, is returned as is
+    (g' is then not read), and so is a lower bound above 1e-30; each has
+    the sign of min g and decides it.  The float64 iteration stops at |g'|
+    <= 4.4e-14 or within 1e-12 of the zero, and float64 g' errs by under
+    4e-15, so |g'(x64)| is under about 5e-14, the enclosure at most about
+    3e-26 wide, and every |min g| above that is decided.
 
-    Otherwise, or when x64 is None (the zero, if any, then lies in [_TOP,
-    1 - 1e-25]), the zero is polished at 40 digits by Newton to a width of
-    1e-20, and g there is returned.  That is within 1e-40 of min g: g is
-    stationary at the zero x*, the polished x~ is within 4e-20 of it (at
-    most the width when |g'(x~)| or the bracket proves it, at most
+    Otherwise the zero is polished at 40 digits by Newton from x64 to a
+    width of 1e-20, and g there is returned.  That is within 1e-40 of min
+    g: g is stationary at the zero x*, the polished x~ is within 4e-20 of
+    it (at most the width when |g'(x~)| or the bracket proves it, at most
     |s| * (1 + sup g''/inf g'') after a Newton step s), so g(x~) - min g
     <= sup g'' * (x~ - x*)**2 / 2, far below the 1e-30 that _sign_exact
     reads as zero.
+
+    When x64 is None, x* lies in [_TOP, 1) and either backend returns
+    g(_TOP): g' rises through [_TOP, x*] from g'(_TOP) <= 0 and a - b >
+    1/3, so g(_TOP) - min g <= |g'(_TOP)| * 2**-53 < (k(theta_TOP) - 1/3) *
+    2**-53, about 4.9e-18 * 1.1e-16 = 5.4e-34, under _sign_exact's 1e-30.
     """
-    if m is _F64:
-        return family.g_eval(p, EvalPoint(_TOP if x64 is None else x64))
-    lo, hi, x = mpf(0), mpf(_TOP), x64
-    if x64 is None:
-        lo, hi, x = hi, 1 - mpf("1e-25"), None
-        if family.g_prime_eval(p, EvalPoint(hi, 40)) <= 0:
-            return family.g_eval(p, EvalPoint(hi, 40))
-    else:
-        pt = EvalPoint(x64, 40)
-        upper, slope = family._evaluate(pt, family._g_and_g_prime, p, include_zero=True)
-        lower = upper - slope**2 * 45 / 4  # 2 inf g'' = 4/45
-        if upper < -_HP_ZERO:
-            return upper
-        if lower > _HP_ZERO:
-            return lower
-    x0 = _g_prime_root(p, lo, hi, mpf("1e-20"), 40, x)
+    pt = EvalPoint(_TOP if x64 is None else x64, None if m is _F64 else 40)
+    upper = family.g_eval(p, pt)
+    if m is _F64 or x64 is None or upper < -_HP_ZERO:
+        return upper
+    lower = upper - family.g_prime_eval(p, pt) ** 2 * 45 / 4  # 2 inf g'' = 4/45
+    if lower > _HP_ZERO:
+        return lower
+    x0 = _g_prime_root(p, mpf(0), mpf(_TOP), mpf("1e-20"), 40, x64)
     return family.g_eval(p, EvalPoint(x0, 40))
 
 
@@ -335,9 +330,10 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
     """Class from computed signs of g(0), g(1-), the g' limits and min g.
 
     _sign_exact re-reads each sign within _SIGN_BAND of zero at 40 digits;
-    for min g that is the enclosure of _g_min, g and g' from one 40-digit
-    evaluation at the float64 zero of g', polished by Newton only when the
-    enclosure straddles zero.  A minimum of g still indistinguishable from
+    for min g that is the enclosure of _g_min, g and g' at 40 digits at the
+    float64 zero of g' (g at 1 - 2**-53 if that zero is above every
+    double), polished by Newton only when the enclosure straddles zero.
+    A minimum of g still indistinguishable from
     zero at 40 digits yields Indeterminate.  tol must lie in (0, 1e-3] and
     chooses nothing: a float64 sign outside the band is exact, so the class
     never depended on it.

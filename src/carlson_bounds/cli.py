@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -26,6 +27,13 @@ EXIT_USAGE = 64
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser that exits 64 on usage errors instead of 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own negative-number pattern has no exponent and takes
+        # "-1e-5" for an option; no option here is a dash and a digit.
+        # Subparsers are built from this class, so they inherit it.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -241,15 +241,14 @@ def _evaluate(pt: EvalPoint, expr, p: Params | None, include_zero: bool):
     Domain is [0,1) when include_zero else (0,1); checks run on the value in
     the precision the point carries, so string/mpf points survive intact.
     The chain's closed forms cancel by up to (1-x)**2 as x -> 1, so _MP takes
-    them with twice the bits 1-x lacks and rounds back to the working precision
-    (each component, when expr gives a tuple).
+    them with twice the bits 1-x lacks and rounds back to the working precision.
     """
     if pt.digits is not None:
         with hp_context(resolve_digits(pt.digits)):
             x = _in_domain(mpf(pt.x), pt.x, include_zero)
             with mp.workprec(mp.prec + 2 * max(0, -mp.mag(1 - x))):
                 v = expr(_MP, p, x)
-            return tuple(+c for c in v) if isinstance(v, tuple) else +v
+            return +v
     return expr(_F64, p, _in_domain(float(pt.x), pt.x, include_zero))
 
 
@@ -286,21 +285,11 @@ def f_limit_at_1(p: Params) -> float:
 # g, g' and their endpoint limits
 
 
-def _g_closed(m, a, b, x, ac):
-    return a + b + (a - b) * x - m.sqrt((1 - x) * (1 + x)) / ac
-
-
 def _g(m, p, x):
     a, b = m.num(p.a), m.num(p.b)
     if not x:
         return a + b - 2 / m.pi
-    return _g_closed(m, a, b, x, m.acos(x))
-
-
-def _g_and_g_prime(m, p, x):
-    """(g, g') at x from one arccos; for x > 0 each is what _g and _g_prime give."""
-    a, b, ac = m.num(p.a), m.num(p.b), m.acos(x)
-    return _g_closed(m, a, b, x, ac), m.minus_k(a - b, x, ac)
+    return a + b + (a - b) * x - m.sqrt((1 - x) * (1 + x)) / m.acos(x)
 
 
 def _g_at_1(m, p):

@@ -138,9 +138,10 @@ def _tangent_theta(d):
 
     Bisects r'(cos theta) = 1/theta**2 - cos(theta)/(theta*sin(theta)) = d,
     which rises from 1/3 to 4/pi**2 as theta goes from 0 to pi/2; a
-    parametrisation the package does not use.
+    parametrisation the package does not use.  theta reaches down to 1e-12,
+    so d may lie as close as about 2e-26 above 1/3.
     """
-    lo, hi = mpf("1e-6"), mp.pi / 2
+    lo, hi = mpf("1e-12"), mp.pi / 2
     for _ in range(90):
         mid = (lo + hi) / 2
         if 1 / mid**2 - mp.cos(mid) / (mid * mp.sin(mid)) < d:
@@ -274,9 +275,11 @@ def test_min_g_enclosure_decides_without_the_polish(off, monkeypatch):
         for seen in (*calls.values(), acos):
             seen.clear()
         assert classify_numeric(Params(a, b)) is _window_class(a, b), (a, b)
-        # g and g' at the float64 zero of g' share one 40-digit arccos
-        assert len(acos) == 1, (a, b, acos)
-        assert calls["g_prime_eval"].count(40) == 0, (a, b, calls)
+        # g at the float64 zero of g' at 40 digits decides a negative min g
+        # alone; a positive one takes g' there too, each on its own arccos
+        reads_g_prime = 1 if off > 0 else 0
+        assert len(acos) == 1 + reads_g_prime, (a, b, acos)
+        assert calls["g_prime_eval"].count(40) == reads_g_prime, (a, b, calls)
         assert calls["chain_eval"].count(40) == 0, (a, b, calls)
 
 
@@ -303,18 +306,51 @@ def test_min_g_polish_runs_where_the_enclosure_straddles_zero(monkeypatch):
         assert calls["chain_eval"].count(40) > 0, p
 
 
-@pytest.mark.parametrize("off", [5e-15, -5e-15])
-def test_min_g_polish_runs_when_the_zero_is_above_the_float64_bracket(off, monkeypatch):
-    # a-b within 4.4e-14 of 1/3 puts the zero of g' above 1 - 1e-12, where
-    # float64 has no zero to offer: the 40-digit polish locates it
+@pytest.mark.parametrize("gap", [2e-16, 5e-16, 1e-15, 3e-15, 1e-14, 4e-14])
+def test_float64_zero_of_g_prime_is_found_up_to_the_last_double(gap, monkeypatch):
+    # a-b = 1/3 + gap puts the zero of g' from 1 - 9e-13 up to 1 - 4.4e-15,
+    # 40 doubles below 1; float64 Newton over every double below 1 finds it
+    # within 1.1e-12, and a min g within 5e-15 of zero is decided by the
+    # 40-digit enclosure there, with no 40-digit polish
     from carlson_bounds import classifier
 
-    d = ONE_THIRD + 4e-14
-    assert classifier._g_prime_zero64(Params(0.5, 0.5 - d)) is None
+    d = ONE_THIRD + gap
+    x64 = classifier._g_prime_zero64(Params(0.5, 0.5 - d))
+    assert x64 is not None
+    with workdps(50):
+        assert abs(mpf(x64) - mp.cos(_tangent_theta(mpf(d)))) <= 1.1e-12, x64
     calls = _count_hp_calls(monkeypatch)
-    a, b = _pair_at(d, _s_star50(d), off)
-    assert classify_numeric(Params(a, b)) is _window_class(a, b)
-    assert calls["chain_eval"].count(40) > 0
+    for off in (5e-15, -5e-15):
+        a, b = _pair_at(d, _s_star50(d), off)
+        calls["chain_eval"].clear()
+        assert classify_numeric(Params(a, b)) is _window_class(a, b), (a, b)
+        assert calls["chain_eval"].count(40) == 0, (a, b, calls)
+
+
+def test_zero_of_g_prime_above_every_double_reads_g_at_the_last_one(monkeypatch):
+    # 0 < a-b - 1/3 < 4.9e-18 puts the zero of g' in [1 - 2**-53, 1), above
+    # every double: there is no float64 zero, g(1 - 2**-53) is within
+    # 5.4e-34 of min g, and both classifiers give the 50-digit class with no
+    # 40-digit polish
+    from carlson_bounds import classifier
+
+    pairs = []
+    with workdps(50):
+        third = mpf(1) / 3
+        for gap in ("1e-18", "2e-18", "4e-18"):
+            pairs.append((ONE_THIRD, float(ONE_THIRD - third - mpf(gap))))
+            for b in (-0.33, -0.335, -1 / 3):
+                pairs.append((float(b + third + mpf(gap)), b))
+        for a, b in pairs:
+            assert 0 < mpf(a) - mpf(b) - third < mpf("4.9e-18"), (a, b)
+    calls = _count_hp_calls(monkeypatch)
+    for a, b in pairs:
+        want = _window_class(a, b)
+        assert classifier._g_prime_zero64(Params(a, b)) is None, (a, b)
+        for classify in (classify_numeric, classify_symbolic):
+            calls["chain_eval"].clear()
+            assert classify(Params(a, b)) is want, (classify.__name__, a, b)
+            assert calls["chain_eval"].count(40) == 0, (classify.__name__, a, b, calls)
 
 
 @pytest.mark.parametrize("off", [1e-11, -1e-11, 1e-13, -1e-13])
@@ -357,12 +393,25 @@ def test_numeric_class_does_not_depend_on_tol():
 
 def test_exact_threshold_matches_tangent_solve():
     rng = random.Random(60)
-    for _ in range(60):
-        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+    ds = [rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6) for _ in range(60)]
+    # d within 1e-13 of 1/3, where the zero of g' lies within 2.3e-12 of 1
+    ds += [ONE_THIRD + 10 ** rng.uniform(-16.5, -13) for _ in range(30)]
+    ds += [_ulps(ONE_THIRD, k) for k in range(1, 11)]
+    for d in ds:
         with workdps(60):
             th = _tangent_theta(mpf(d))
             s_star = mp.sin(th) / th - d * mp.cos(th)
             assert abs(exact_increasing_threshold(d) - s_star) <= 4e-16, d
+
+
+def test_exact_threshold_is_the_nearest_double():
+    # g is read at 40 digits where it is stationary, so s*(d) comes back
+    # rounded once, also where the zero of g' lies within 1e-12 of 1
+    rng = random.Random(61)
+    ds = [rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6) for _ in range(40)]
+    ds += [ONE_THIRD + 10 ** rng.uniform(-16.5, -13) for _ in range(10)]
+    for d in ds:
+        assert exact_increasing_threshold(d) == float(_s_star50(d)), d
 
 
 def test_numeric_tol_validation():

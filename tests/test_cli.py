@@ -169,6 +169,29 @@ def test_extrema_degenerate_exits_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["-1e-5", "-3.935735335036498e-17", "-.5", "-0.1", "-2E-300"])
+def test_bounds_and_approx_take_negative_numbers_in_every_form(text, capsys):
+    # argparse's own negative-number pattern has no exponent and would take
+    # "-1e-5" for an option: "expected one argument", exit 64
+    for command in ("bounds", "approx"):
+        code, out = run_main(capsys, command, "--x", text)
+        assert code == EXIT_OK, (command, text)
+        assert json.loads(out)["x"] == float(text)
+
+
+def test_classify_takes_a_negative_exponent_parameter(capsys):
+    # the pair of ROADMAP item 4, whose g(0) is about -4.0e-33; the class it
+    # prints is not asserted here, as making that sign exact will change it
+    code, out = run_main(capsys, "classify", "--a", "0.6366197723675814",
+                         "--b", "-3.935735335036498e-17")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert (data["a"], data["b"]) == (0.6366197723675814, -3.935735335036498e-17)
+    code, out = run_main(capsys, "classify", "--a", "-1e-3", "--b", "-2E-2", "--tol", "1e-6")
+    assert code == EXIT_OK
+    assert (json.loads(out)["a"], json.loads(out)["b"]) == (-1e-3, -2e-2)
+
+
 def _strict_json(text):
     """json.loads that refuses NaN, Infinity and -Infinity, which RFC 8259 lacks."""
 
