@@ -14,11 +14,14 @@ import csv
 import sys
 
 from carlson_bounds.classifier import classify_numeric, classify_symbolic
+from carlson_bounds.cli import NEGATIVE_NUMBER
 from carlson_bounds.family import Params
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
+    # the CLI's pattern, so "--lo -1e-3" reads as a number; usage errors still exit 2
+    ap._negative_number_matcher = NEGATIVE_NUMBER
     ap.add_argument("--n", type=int, default=121, help="grid points per axis")
     ap.add_argument("--lo", type=float, default=-0.2)
     ap.add_argument("--hi", type=float, default=1.2)

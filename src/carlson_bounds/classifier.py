@@ -7,19 +7,21 @@ a+b-2/pi, g(1-) = 2a-1, g'(0), g'(1-) and, in the window
 1/3 < a-b < 4/pi**2 where g' changes sign, min g.  One sign reader,
 _sign_exact, takes each sign as one function of a family backend, reads
 it in float64 and re-reads it at 40 digits within _SIGN_BAND of zero, the
-one band, derived in its docstring.  classify_symbolic applies the
-closed-form region conditions to those signs in their published order;
-classify_numeric reconstructs the class from them.  Every zero of g' comes from
-_g_prime_root, one safeguarded Newton iteration whose slope g'' is the
-parameter-free proof-chain function.  The float64 zero x64 of g' is
-sought on every double below 1, once per Params object, and kept on it,
-so the two classifiers of one object share it.  At 40 digits the sign of
+one band, derived in its docstring.  One decision, _decide, turns those
+signs into a class for both classifiers; classify_symbolic leaves a
+unique max or min outside the window, which no published condition
+covers, Indeterminate.  Every zero of g' comes from _g_prime_root, one
+safeguarded Newton iteration whose slope g'' is the parameter-free
+proof-chain function.  The float64 zero x64 of g' is sought on every
+double below 1, once per Params object, and kept on it, so the two
+classifiers and critical_point_g share it.  At 40 digits the sign of
 min g needs no polished zero: g'' >= 2/45 on [0, 1), so
 
     g(x64) - g'(x64)**2 * 45/4 <= min g <= g(x64),
 
 and g and g' at x64, each at 40 digits, decide every |min g| above about
-3e-26.  Only a narrower min g polishes the zero at 40 digits.
+1e-27.  Only a narrower min g, or a tol finer than float64 resolves in
+critical_point_g, polishes the zero at 40 digits, by _polished_zero.
 
 The published strictly-increasing condition inside the window is
 a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold only bounds the exact
@@ -99,7 +101,7 @@ def exact_increasing_threshold(d: float) -> float:
     running from 2/pi at d = 4/pi**2 to 2/3 at d = 1/3 and lying below
     increasing_threshold(d).  t comes from the Newton iteration on g' for
     the pair (d/2, -d/2), whose a+b is exactly 0, so g there equals -s*(d).
-    g, stationary at t, is read there at 40 digits, off by under 1e-25, so
+    g, stationary at t, is read there at 40 digits, off by under 1e-26, so
     the result is s*(d) rounded to the nearest double (barring a near tie).
     """
     if not ONE_THIRD < d < FOUR_OVER_PI_SQ:
@@ -133,19 +135,12 @@ def classify_symbolic(p: Params) -> RegionClass:
     """First matching closed-form region condition, in published order.
 
     Every condition is the sign of g(0), g(1-), g'(0), g'(1-) or, inside
-    the window, min g = a+b - s*(a-b), read by the same _edge_signs and
-    _min_g_sign as classify_numeric; min g tests the exact boundary s*(d)
-    in place of the published threshold.  Outside the window a unique max
-    or min, which no published condition covers there, is Indeterminate.
+    the window, min g = a+b - s*(a-b), which tests the exact boundary s*(d)
+    in place of the published threshold.  _decide gives classify_numeric's
+    class, except that Indeterminate also marks a unique max or min outside
+    the window, which no published condition covers there.
     """
-    s0, s1, lo, hi = _edge_signs(p)
-    if s0 <= 0 and s1 <= 0:
-        return RegionClass.STRICTLY_DECREASING
-    if (s0 >= 0 and lo >= 0) or (s1 >= 0 and hi <= 0):
-        return RegionClass.STRICTLY_INCREASING
-    if lo >= 0 or hi <= 0:
-        return RegionClass.INDETERMINATE
-    return _window_class(_min_g_sign(p), s0, s1)
+    return _decide(p, published=True)
 
 
 def _sign_exact(f, p: Params, *args) -> int:
@@ -168,8 +163,8 @@ def _sign_exact(f, p: Params, *args) -> int:
       below 1e-14, a+b is within that of s*(d) < 2/3; (a-b)*x, below 0.41,
       rounds twice, a+b and their sum once each, and the difference is
       exact: under 12u = 1.4e-15 in all.  g(x64) exceeds min g by under
-      1e-25 (x64 is within about 1.1e-12 of the zero, _g_prime_zero64's
-      width plus _ZERO64_RES, and g'' <= 0.12).
+      1e-26 (x64 is within about 2e-13 of the zero, _ZERO64_RES plus the
+      float64 error of g' over g'' >= 2/45, and g'' <= 0.12).
     - g' at an interior x, up to the top 1 - 2**-53 of the float64
       bracket in _g_prime_zero64, errs by under 4e-15 (pinned by
       test_float64_chain_matches_50_digits at 1 - k * 2**-53).
@@ -195,20 +190,30 @@ def _edge_signs(p: Params) -> tuple[int, int, int, int]:
             _sign_exact(family._g_prime, p, 0), _sign_exact(family._g_prime_at_1, p))
 
 
-def _min_g_sign(p: Params) -> int:
-    """Sign of min g for p in the window, from _g_min at the float64 zero of g'."""
-    x64 = _g_prime_zero64(p)
-    return _sign_exact(_g_min, p, x64)
+def _decide(p: Params, published: bool) -> RegionClass:
+    """Class of p from the signs of g(0), g(1-), g'(0), g'(1-) and min g, each read once.
 
-
-def _window_class(sm: int, s0: int, s1: int) -> RegionClass:
-    """Class in the window from the signs of min g, g(0) and g(1-)."""
+    g <= 0 at both ends makes the convex g <= 0 on (0, 1): f decreases, and
+    no min g is sought.  Outside the window g runs monotonically from g(0)
+    to g(1-): f increases when the lower end is >= 0, else g changes sign
+    once, a unique min (g' > 0) or max (g' < 0), Indeterminate if published.
+    In the window the sign of min g decides (Indeterminate if ~0 at 40
+    digits), then those of g(0) and g(1-).
+    """
+    s0, s1, lo, hi = _edge_signs(p)
+    if s0 <= 0 and s1 <= 0:
+        return RegionClass.STRICTLY_DECREASING
+    if lo >= 0 or hi <= 0:
+        if (s0 if lo >= 0 else s1) >= 0:
+            return RegionClass.STRICTLY_INCREASING
+        if published:
+            return RegionClass.INDETERMINATE
+        return RegionClass.UNIQUE_MIN if lo >= 0 else RegionClass.UNIQUE_MAX
+    sm = _sign_exact(_g_min, p, _g_prime_zero64(p))
     if sm == 0:
         return RegionClass.INDETERMINATE
     if sm > 0:
         return RegionClass.STRICTLY_INCREASING
-    if s0 <= 0 and s1 <= 0:
-        return RegionClass.STRICTLY_DECREASING
     if s1 <= 0:
         return RegionClass.UNIQUE_MAX
     if s0 <= 0:
@@ -224,10 +229,10 @@ _G2_INF = 2.0 / 45.0
 # top of the float64 bracket of the zero of g': the last double below 1
 _TOP = math.nextafter(1.0, 0.0)
 
-# the float64 zero of g' is off by up to about 1e-13 beyond the width it is
-# sought to (float64 g' errs by under 4e-15 absolute, 1.3e-15 measured at
-# theta0, and g'' >= 2/45); finer tolerances are met by polishing it at 40
-# digits
+# width _g_prime_zero64 seeks the float64 zero of g' to, about the finest
+# float64 g' resolves: the zero is off by up to about 1e-13 beyond it (float64
+# g' errs by under 4e-15 absolute, 1.3e-15 measured at theta0, and g'' >=
+# 2/45); critical_point_g meets a finer tol by _polished_zero
 _ZERO64_RES = 1e-13
 
 
@@ -277,8 +282,17 @@ def _g_prime_zero64(p: Params):
     """
     if "_zero64" not in p.__dict__:
         top = _sign_exact(lambda m, p: family._g_prime(m, p, m.num(_TOP)), p)
-        p.__dict__["_zero64"] = None if top <= 0 else _g_prime_root(p, 0.0, _TOP, 1e-12)
+        p.__dict__["_zero64"] = None if top <= 0 else _g_prime_root(p, 0.0, _TOP, _ZERO64_RES)
     return p.__dict__["_zero64"]
+
+
+def _polished_zero(p: Params, x64):
+    """Zero of g' within 4e-36 (see _g_min), by 40-digit Newton from the float64 zero x64.
+
+    The width 1e-36 stays 400 times above the rounding of g' at 40 digits,
+    about 1e-40, and below half the float64 spacing at any zero above 1e-19.
+    """
+    return _g_prime_root(p, mpf(0), mpf(_TOP), mpf("1e-36"), 40, x64)
 
 
 def _g_min(m, p: Params, x64):
@@ -298,17 +312,17 @@ def _g_min(m, p: Params, x64):
     is.  g(x64) below -1e-30, the zero of _sign_exact, is returned as is
     (g' is then not read), and so is a lower bound above 1e-30; each has
     the sign of min g and decides it.  The float64 iteration stops at |g'|
-    <= 4.4e-14 or within 1e-12 of the zero, and float64 g' errs by under
-    4e-15, so |g'(x64)| is under about 5e-14, the enclosure at most about
-    3e-26 wide, and every |min g| above that is decided.
+    <= 4.4e-15 (2/45 times _ZERO64_RES) or within 1e-13 of the zero, and
+    float64 g' errs by under 4e-15, so |g'(x64)| is under about 1e-14, the
+    enclosure at most about 1e-27 wide, and every |min g| above that is
+    decided.
 
-    Otherwise the zero is polished at 40 digits by Newton from x64 to a
-    width of 1e-20, and g there is returned.  That is within 1e-40 of min
-    g: g is stationary at the zero x*, the polished x~ is within 4e-20 of
-    it (at most the width when |g'(x~)| or the bracket proves it, at most
-    |s| * (1 + sup g''/inf g'') after a Newton step s), so g(x~) - min g
-    <= sup g'' * (x~ - x*)**2 / 2, far below the 1e-30 that _sign_exact
-    reads as zero.
+    Otherwise g is returned at the zero x~ that _polished_zero finds from
+    x64, to a width of 1e-36.  That is within 1e-70 of min g: g is
+    stationary at the zero x*, x~ is within 4e-36 of it (at most the width
+    when |g'(x~)| or the bracket proves it, at most |s| * (1 + sup g''/inf
+    g'') after a Newton step s), so g(x~) - min g <= sup g'' * (x~ - x*)**2
+    / 2, far below the 1e-30 that _sign_exact reads as zero.
 
     When x64 is None, x* lies in [_TOP, 1) and either backend returns
     g(_TOP): g' rises through [_TOP, x*] from g'(_TOP) <= 0 and a - b >
@@ -322,65 +336,46 @@ def _g_min(m, p: Params, x64):
     lower = upper - family.g_prime_eval(p, pt) ** 2 * 45 / 4  # 2 inf g'' = 4/45
     if lower > _HP_ZERO:
         return lower
-    x0 = _g_prime_root(p, mpf(0), mpf(_TOP), mpf("1e-20"), 40, x64)
-    return family.g_eval(p, EvalPoint(x0, 40))
+    return family.g_eval(p, EvalPoint(_polished_zero(p, x64), 40))
 
 
 def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
     """Class from computed signs of g(0), g(1-), the g' limits and min g.
 
-    _sign_exact re-reads each sign within _SIGN_BAND of zero at 40 digits;
-    for min g that is the enclosure of _g_min, g and g' at 40 digits at the
-    float64 zero of g' (g at 1 - 2**-53 if that zero is above every
-    double), polished by Newton only when the enclosure straddles zero.
-    A minimum of g still indistinguishable from
-    zero at 40 digits yields Indeterminate.  tol must lie in (0, 1e-3] and
-    chooses nothing: a float64 sign outside the band is exact, so the class
-    never depended on it.
+    _decide reads them as for classify_symbolic, and _sign_exact re-reads
+    each within _SIGN_BAND of zero at 40 digits; for min g that is the
+    enclosure of _g_min at the float64 zero of g' (g at 1 - 2**-53 if that
+    zero is above every double), polished only when it straddles zero.
+    Indeterminate means only a minimum of g still indistinguishable from
+    zero at 40 digits.  tol must lie in (0, 1e-3] and chooses nothing: a
+    float64 sign outside the band is exact, so the class never depended
+    on it.
     """
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
-    s0, s1, lo, hi = _edge_signs(p)
-    if lo >= 0:
-        # g' > 0 on (0,1): g strictly increasing from a+b-2/pi to 2a-1
-        if s0 >= 0:
-            return RegionClass.STRICTLY_INCREASING
-        if s1 <= 0:
-            return RegionClass.STRICTLY_DECREASING
-        return RegionClass.UNIQUE_MIN
-    if hi <= 0:
-        # g' < 0 on (0,1): g strictly decreasing
-        if s0 <= 0:
-            return RegionClass.STRICTLY_DECREASING
-        if s1 >= 0:
-            return RegionClass.STRICTLY_INCREASING
-        return RegionClass.UNIQUE_MAX
-    return _window_class(_min_g_sign(p), s0, s1)
+    return _decide(p, published=False)
 
 
 def critical_point_g(p: Params, tol: float) -> float | None:
     """Unique zero of g' in (0,1) to absolute tolerance tol, else None.
 
-    None is returned when g' has constant sign (a-b outside (1/3, 4/pi**2),
-    read by _sign_exact at any tol) and when the zero sits within tol of an
-    endpoint, where no interior sign change is resolvable at the requested
-    tolerance.  A tol below _ZERO64_RES = 1e-13, finer than float64 g'
-    resolves its zero, has the zero polished at 40 digits, so a tol finer
-    than the float64 spacing there yields the double nearest the zero.
+    The zero is _g_prime_zero64's, kept on p.  A tol below _ZERO64_RES =
+    1e-13, finer than float64 g' resolves the zero, has it polished at 40
+    digits by _polished_zero, as _g_min does, so a tol finer than the
+    float64 spacing there yields the double nearest any zero above 1e-19.
+    None means no interior zero at this tol: g' has constant sign (a-b
+    outside (1/3, 4/pi**2), read by _sign_exact at any tol), or the zero
+    lies above every double or within tol of 0 or 1.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
     if _sign_exact(family._g_prime, p, 0) >= 0 or _sign_exact(family._g_prime_at_1, p) <= 0:
         return None
-    if family.g_prime_eval(p, EvalPoint(tol)) >= 0.0:
-        return None
-    if family.g_prime_eval(p, EvalPoint(1.0 - tol)) <= 0:
-        return None
-    x = _g_prime_root(p, tol, 1.0 - tol, max(tol, _ZERO64_RES))
-    if tol < _ZERO64_RES:
+    x = _g_prime_zero64(p)
+    if x is not None and tol < _ZERO64_RES:
         with hp_context(40):
-            x = float(_g_prime_root(p, mpf(tol), mpf(1.0 - tol), mpf("1e-30"), 40, x))
-    return x
+            x = float(_polished_zero(p, x))
+    return x if x is not None and tol < x < 1.0 - tol else None
 
 
 def _disc_quadratic(p: Params) -> float:

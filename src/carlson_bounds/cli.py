@@ -25,15 +25,18 @@ EXIT_VERIFY = 2
 EXIT_USAGE = 64
 
 
+# a negative number in any float form, "-1e-5" included, which argparse's own pattern
+# takes for an option; no option of this CLI or of scripts/region_map.py is a dash and a digit
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser that exits 64 on usage errors instead of 2."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own negative-number pattern has no exponent and takes
-        # "-1e-5" for an option; no option here is a dash and a digit.
-        # Subparsers are built from this class, so they inherit it.
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # subparsers are built from this class, so they inherit it
+        self._negative_number_matcher = NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -133,16 +133,17 @@ def test_numeric_min_g_fallback_work_is_bounded(d, monkeypatch):
         assert 0 < len(acos) <= 8, acos
 
 
-def _tangent_theta(d):
+def _tangent_theta(d, halvings=90):
     """theta = arccos t of the zero t of g' for a-b = d, at the working precision.
 
     Bisects r'(cos theta) = 1/theta**2 - cos(theta)/(theta*sin(theta)) = d,
     which rises from 1/3 to 4/pi**2 as theta goes from 0 to pi/2; a
     parametrisation the package does not use.  theta reaches down to 1e-12,
-    so d may lie as close as about 2e-26 above 1/3.
+    so d may lie as close as about 2e-26 above 1/3.  90 halvings fix theta
+    to 1.3e-27.
     """
     lo, hi = mpf("1e-12"), mp.pi / 2
-    for _ in range(90):
+    for _ in range(halvings):
         mid = (lo + hi) / 2
         if 1 / mid**2 - mp.cos(mid) / (mid * mp.sin(mid)) < d:
             lo = mid
@@ -448,10 +449,11 @@ def _ulps(x, k):
 
 
 def test_symbolic_numeric_disagreements_only_in_documented_strip():
-    # the symbolic classifier tests the exact increasing boundary, so no
-    # determinate symbolic class may contradict the numeric one; both read
-    # the same exact signs, so neither may a float64 comparison of a+b or
-    # a-b with 2/pi, 1/3 or 4/pi**2, or of a with 1/2, decide one
+    # both classifiers take one decision from the same exact signs, so the
+    # symbolic class is the numeric one, except that a unique max or min
+    # outside the window, which no published condition covers, is
+    # Indeterminate; no float64 comparison of a+b or a-b with 2/pi, 1/3 or
+    # 4/pi**2, or of a with 1/2, may move either
     rng = random.Random(99)
     points = [(rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2)) for _ in range(400)]
     with workdps(50):
@@ -467,11 +469,12 @@ def test_symbolic_numeric_disagreements_only_in_documented_strip():
     mismatches = []
     for a, b in points:
         p = Params(a, b)
-        sym = classify_symbolic(p)
-        if sym is IND:
-            continue
-        num = classify_numeric(p)
-        if num is not sym:
+        sym, num = classify_symbolic(p), classify_numeric(p)
+        with workdps(50):
+            d = mpf(a) - mpf(b)
+            outside = not mpf(1) / 3 < d < 4 / mp.pi**2
+        want = IND if num in (MAX, MIN) and outside else num
+        if sym is not want:
             mismatches.append((p, sym, num))
     assert not mismatches, mismatches
 
@@ -546,6 +549,12 @@ def test_critical_point_root_and_residual():
     fine = critical_point_g(p, 1e-16)
     assert abs(fine - x0) < 1e-9
     assert abs(float(g_prime_eval(p, EvalPoint(fine, digits=40)))) < 1e-12
+    # the double nearest the zero, also for a tol below 2**-54, where
+    # 1 - tol rounds to 1
+    with workdps(50):
+        assert fine == float(mp.cos(_tangent_theta(mpf(p.a) - mpf(p.b))))
+    for tol in (5e-17, 1e-300):
+        assert critical_point_g(p, tol) == fine, tol
 
 
 def test_g_second_falls_to_its_infimum():
@@ -575,6 +584,23 @@ def test_critical_point_within_tol_of_zero(tol):
         with workdps(50):
             zero = mp.cos(_tangent_theta(mpf(p.a) - mpf(p.b)))
             assert abs(x0 - zero) <= tol, (d, x0)
+
+
+@pytest.mark.parametrize("tol", [5e-17, 1e-20, 1e-300])
+def test_critical_point_below_the_spacing_is_the_nearest_double(tol):
+    # from a zero 1.5e-18 above x = 0 to one 3e-5 below x = 1, the 40-digit
+    # polish of the kept float64 zero rounds to the double nearest the zero;
+    # 200 halvings at 70 digits fix the zero to 1e-60, below half its spacing
+    ds = [FOUR_OVER_PI_SQ - 10.0**-k for k in (15, 12, 9, 6)]
+    ds += [ONE_THIRD + (FOUR_OVER_PI_SQ - ONE_THIRD) * i / 12 for i in range(1, 12)]
+    ds += [ONE_THIRD + 10.0**-k for k in range(2, 7)]
+    params = [Params(0.5, 0.5 - d) for d in ds]
+    params.append(Params(0.40728366059981536, 0.0019989260304642703))  # a-b is 4/pi**2 - 1.8e-19
+    for p in params:
+        with workdps(70):
+            zero = mp.cos(_tangent_theta(mpf(p.a) - mpf(p.b), 200))
+            want = float(zero) if zero > tol else None  # within tol of 0: None
+            assert critical_point_g(p, tol) == want, (p, tol)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])

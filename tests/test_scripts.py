@@ -42,6 +42,15 @@ def test_region_map_rejects_grid_below_two():
     assert "--n must be at least 2" in proc.stderr
 
 
+def test_region_map_reads_a_negative_bound_with_an_exponent():
+    # "--lo -1e-3" is a number, as "--lo=-1e-3" is, not a missing argument
+    spaced = run_script("region_map.py", "--n", "2", "--lo", "-1e-3")
+    joined = run_script("region_map.py", "--n", "2", "--lo=-1e-3")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+    assert spaced.stdout.splitlines()[1].startswith("-0.001,-0.001,")
+
+
 def test_width_profile_envelope_is_the_tightest():
     proc = run_script("width_profile.py", "--points", "50")
     assert proc.returncode == 0, proc.stderr
