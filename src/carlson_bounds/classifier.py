@@ -4,24 +4,24 @@ g' is strictly increasing from a-b-4/pi**2 (at 0+) to a-b-1/3 (at 1-), so
 g is monotone or has a unique interior minimum, and the signs of five
 quantities decide how many times g (hence f') crosses zero: g(0) =
 a+b-2/pi, g(1-) = 2a-1, g'(0), g'(1-) and, in the window
-1/3 < a-b < 4/pi**2 where g' changes sign, min g.  One sign reader,
-_sign_exact, takes each sign as one function of a family backend, reads
-it in float64 and re-reads it at 40 digits within _SIGN_BAND of zero, the
-one band, derived in its docstring.  One decision, _decide, turns those
-signs into a class for both classifiers; classify_symbolic leaves a
-unique max or min outside the window, which no published condition
-covers, Indeterminate.  Every zero of g' comes from _g_prime_root, one
-safeguarded Newton iteration whose slope g'' is the parameter-free
-proof-chain function.  The float64 zero x64 of g' is sought on every
-double below 1, once per Params object, and kept on it, so the two
-classifiers and critical_point_g share it.  At 40 digits the sign of
-min g needs no polished zero: g'' >= 2/45 on [0, 1), so
+1/3 < a-b < 4/pi**2 where g' changes sign, min g.  _sign_exact reads each
+sign in float64 and re-reads it at 40 digits within _SIGN_BAND of zero,
+the one band, derived in its docstring.  _decide turns the signs into a
+class for both classifiers; classify_symbolic leaves a unique max or min
+outside the window, which no published condition covers, Indeterminate.
+As g'' >= 2/45 on [0, 1), g lies above its tangent parabola at any x, so
 
-    g(x64) - g'(x64)**2 * 45/4 <= min g <= g(x64),
+    g(x) - g'(x)**2 * 45/4 <= min g <= g(x).
 
-and g and g' at x64, each at 40 digits, decide every |min g| above about
-1e-27.  Only a narrower min g, or a tol finer than float64 resolves in
-critical_point_g, polishes the zero at 40 digits, by _polished_zero.
+_g_min reads this in float64 at _zero_guess, a closed-form guess of the
+zero of g', which decides every |min g| above about 3e-8.  Only a
+narrower min g seeks the float64 zero x64 on every double below 1, by
+_g_prime_root, the one safeguarded Newton iteration (its slope g'' is the
+parameter-free proof-chain function).  x64 and the sign of min g are
+kept on the Params object, so both classifiers and critical_point_g share
+them.  At 40 digits the enclosure at x64 decides every |min g| above
+about 1e-27; only a narrower min g, or a tol finer than float64 resolves
+in critical_point_g, polishes the zero, by _polished_zero.
 
 The published strictly-increasing condition inside the window is
 a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold only bounds the exact
@@ -154,7 +154,7 @@ def _sign_exact(f, p: Params, *args) -> int:
       their exact values; the final difference is exact (Sterbenz)
       wherever it is small, and 2a-1 rounds once, keeping its sign.  A
       value below 1e-14 in size errs by under 1.2e-16.
-    - min g is g at the float64 zero x64 of g', on p itself.  Float64
+    - min g is read through its enclosure (module docstring).  Float64
       g = a+b + (a-b)*x - r(x) has r = sqrt((1-x)(1+x)) / arccos x below 1.
       The square root errs by 2.5u relative; arccos_stable =
       2 atan2(sqrt(1-x), sqrt(1+x)) by 3u from its arguments (atan's
@@ -162,7 +162,9 @@ def _sign_exact(f, p: Params, *args) -> int:
       to an ulp; the quotient by one more u: 8.5u in r.  Where |min g| is
       below 1e-14, a+b is within that of s*(d) < 2/3; (a-b)*x, below 0.41,
       rounds twice, a+b and their sum once each, and the difference is
-      exact: under 12u = 1.4e-15 in all.  g(x64) exceeds min g by under
+      exact: under 12u = 1.4e-15 in all.  The lower bound's g'**2 * 45/4
+      errs by under 22.5 * 0.072 * 4e-15 = 6.5e-15 (|g'| < 0.072 in the
+      window), 5e-18 at _zero_guess.  g(x64) exceeds min g by under
       1e-26 (x64 is within about 2e-13 of the zero, _ZERO64_RES plus the
       float64 error of g' over g'' >= 2/45, and g'' <= 0.12).
     - g' at an interior x, up to the top 1 - 2**-53 of the float64
@@ -170,7 +172,8 @@ def _sign_exact(f, p: Params, *args) -> int:
       test_float64_chain_matches_50_digits at 1 - k * 2**-53).
 
     The band is over seven times the edge and min g bounds and 2.5 times
-    the g' one, so a wider band changes no sign, only the work.
+    the g' one (1.3 times the lower bound's at an x far from the zero), so
+    a wider band changes no sign, only the work.
     """
     value = f(_F64, p, *args)
     if abs(value) >= _SIGN_BAND:
@@ -198,7 +201,8 @@ def _decide(p: Params, published: bool) -> RegionClass:
     to g(1-): f increases when the lower end is >= 0, else g changes sign
     once, a unique min (g' > 0) or max (g' < 0), Indeterminate if published.
     In the window the sign of min g decides (Indeterminate if ~0 at 40
-    digits), then those of g(0) and g(1-).
+    digits), then those of g(0) and g(1-); that sign depends on (a, b)
+    alone and is kept on p, so the second classifier of p reads it.
     """
     s0, s1, lo, hi = _edge_signs(p)
     if s0 <= 0 and s1 <= 0:
@@ -209,7 +213,9 @@ def _decide(p: Params, published: bool) -> RegionClass:
         if published:
             return RegionClass.INDETERMINATE
         return RegionClass.UNIQUE_MIN if lo >= 0 else RegionClass.UNIQUE_MAX
-    sm = _sign_exact(_g_min, p, _g_prime_zero64(p))
+    if "_min_g_sign" not in p.__dict__:  # kept as _g_prime_zero64 keeps the zero
+        p.__dict__["_min_g_sign"] = _sign_exact(_g_min, p)
+    sm = p.__dict__["_min_g_sign"]
     if sm == 0:
         return RegionClass.INDETERMINATE
     if sm > 0:
@@ -235,23 +241,36 @@ _TOP = math.nextafter(1.0, 0.0)
 # 2/45); critical_point_g meets a finer tol by _polished_zero
 _ZERO64_RES = 1e-13
 
+# c in _zero_guess: its theta is pi/2, the zero 0, at d = 4/pi**2
+_GUESS_C = 180.0 / math.pi**2 - 1.0 / (FOUR_OVER_PI_SQ - ONE_THIRD)
 
-def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None, x=None):
-    """Zero of g' in [lo, hi], given g'(lo) < 0 < g'(hi), by safeguarded Newton.
 
-    The slope is g'', the parameter-free chain function.  Each evaluation of
-    g' at x moves lo or hi onto x, so [lo, hi] keeps bracketing the zero; a
-    Newton step that would leave the bracket is replaced by its midpoint.
-    Starts at x (the midpoint by default) and, in float64 when digits is
-    None and at that many digits otherwise, returns x once |g'(x)| proves
-    it within width of the zero, the Newton iterate of a step no longer
-    than width, or the midpoint of a bracket no wider than width.  In
-    float64 it also stops when lo and hi are neighbours, for a width below
-    the spacing there.  g' is increasing and concave, so after the first
-    step the iterates rise to the zero from below.
+def _zero_guess(d: float) -> float:
+    """The zero t = cos(theta) of g' for a - b = d, within 4.3e-4, in closed form.
+
+    With u = d - 1/3, d = r'(t) = 1/theta**2 - cot(theta)/theta = 1/3 +
+    theta**2/45 + 2 theta**4/945 + ..., so theta**2 = 45u - 192.9u**2 + ...
+    The guess takes theta**2 = 45u / (1 + c u), clamped to [0, _TOP]: c =
+    4.34 is exact at theta = pi/2, and 45c = 195.3.  The 4.3e-4, from a
+    50-digit scan (test_zero_guess_is_within_its_bound), keeps |g'| under
+    5.2e-5 and the enclosure of min g under 3e-8 wide.
     """
-    if x is None:
-        x = (lo + hi) / 2
+    u = max(d - ONE_THIRD, 0.0)
+    return min(max(math.cos(math.sqrt(45.0 * u / (1.0 + _GUESS_C * u))), 0.0), _TOP)
+
+
+def _g_prime_root(p: Params, lo, hi, width, digits: int | None, x):
+    """Zero of g' in [lo, hi], given g'(lo) < 0 < g'(hi), by safeguarded Newton from x.
+
+    The slope is g'', the parameter-free chain function.  Each g'(x) moves
+    lo or hi onto x, so [lo, hi] keeps bracketing the zero, and a Newton
+    step that would leave it is replaced by its midpoint.  In float64 when
+    digits is None, else at that many digits, it returns x once |g'(x)|
+    proves it within width of the zero, the iterate of a step no longer
+    than width, or the midpoint of a bracket no wider than width (or of
+    neighbouring doubles).  g' is increasing and concave, so after the
+    first step the iterates rise to the zero from below.
+    """
     while True:
         pt = EvalPoint(x, digits)
         slope = family.g_prime_eval(p, pt)
@@ -272,17 +291,17 @@ def _g_prime_root(p: Params, lo, hi, width, digits: int | None = None, x=None):
 
 
 def _g_prime_zero64(p: Params):
-    """Float64 zero of g' in (0, _TOP) for p in the window; None when g'(_TOP) <= 0.
+    """Float64 zero of g' in (0, _TOP) for p in the window, by Newton from _zero_guess.
 
-    None puts the zero above every double.  The zero depends on (a, b)
-    alone, so it is sought once per Params object and kept on it, written
-    past the frozen dataclass as cached_property does: both classifiers of
-    one object share it, and equality, hash, repr and asdict, which read
-    the fields, do not see it.
+    None puts the zero above every double (g'(_TOP) <= 0).  The zero depends
+    on (a, b) alone: it is sought once per Params object and kept on it,
+    past the frozen dataclass as cached_property does, where equality,
+    hash, repr and asdict, which read the fields, do not see it.
     """
     if "_zero64" not in p.__dict__:
         top = _sign_exact(lambda m, p: family._g_prime(m, p, m.num(_TOP)), p)
-        p.__dict__["_zero64"] = None if top <= 0 else _g_prime_root(p, 0.0, _TOP, _ZERO64_RES)
+        p.__dict__["_zero64"] = (None if top <= 0 else
+                                 _g_prime_root(p, 0.0, _TOP, _ZERO64_RES, None, _zero_guess(p.a - p.b)))
     return p.__dict__["_zero64"]
 
 
@@ -295,57 +314,59 @@ def _polished_zero(p: Params, x64):
     return _g_prime_root(p, mpf(0), mpf(_TOP), mpf("1e-36"), 40, x64)
 
 
-def _g_min(m, p: Params, x64):
-    """min g over [0, 1), or at 40 digits a value of its sign.
+def _g_min(m, p: Params):
+    """min g over [0, 1), or a value of its sign, from its enclosure.
 
-    x64 is _g_prime_zero64(p).  m = _F64 takes g there, which resolves min
-    g to about g'' * 1e-24.  m = _MP takes g and g' there at 40 digits, on
-    p itself (the rounded a - b of a tangent pair (d/2, -d/2) is off by up
-    to half an ulp, enough to flip the sign of a min g below about 3e-17),
-    and encloses min g:
+    m = _F64 returns a bound at _zero_guess beyond _SIGN_BAND if there is
+    one, else g at the kept float64 zero x64 = _g_prime_zero64(p), within
+    about g'' * 1e-24 of min g.  m = _MP returns a bound at x64, at 40
+    digits, beyond _HP_ZERO = 1e-30, the zero of _sign_exact; it reads p
+    itself, as the rounded a - b of a tangent pair (d/2, -d/2) can flip a
+    min g below about 3e-17.  The float64 search stops at |g'| <= 4.4e-15
+    or within 1e-13 of the zero, and float64 g' errs by under 4e-15, so
+    the enclosure at x64 is at most about 1e-27 wide.  Narrower, g is
+    returned at the zero x~ that _polished_zero finds from x64: x~ is
+    within 4e-36 of the zero x* (the width when |g'(x~)| or the bracket
+    proves it, else |s| * (1 + sup g''/inf g'') after a Newton step s), and
+    g is stationary at x*, so g(x~) - min g <= sup g'' * (x~ - x*)**2 / 2
+    < 1e-70.
 
-        g(x64) - g'(x64)**2 / (2 inf g'') <= min g <= g(x64).
-
-    The upper bound holds at any point of [0, 1).  The lower one holds
-    because g'' >= inf g'' = 2/45 on [0, 1), so g lies above the parabola
-    g(x64) + g'(x64) (x - x64) + (x - x64)**2 / 45, whose least value it
-    is.  g(x64) below -1e-30, the zero of _sign_exact, is returned as is
-    (g' is then not read), and so is a lower bound above 1e-30; each has
-    the sign of min g and decides it.  The float64 iteration stops at |g'|
-    <= 4.4e-15 (2/45 times _ZERO64_RES) or within 1e-13 of the zero, and
-    float64 g' errs by under 4e-15, so |g'(x64)| is under about 1e-14, the
-    enclosure at most about 1e-27 wide, and every |min g| above that is
-    decided.
-
-    Otherwise g is returned at the zero x~ that _polished_zero finds from
-    x64, to a width of 1e-36.  That is within 1e-70 of min g: g is
-    stationary at the zero x*, x~ is within 4e-36 of it (at most the width
-    when |g'(x~)| or the bracket proves it, at most |s| * (1 + sup g''/inf
-    g'') after a Newton step s), so g(x~) - min g <= sup g'' * (x~ - x*)**2
-    / 2, far below the 1e-30 that _sign_exact reads as zero.
-
-    When x64 is None, x* lies in [_TOP, 1) and either backend returns
+    When x64 is None, x* lies in [_TOP, 1) and both backends return
     g(_TOP): g' rises through [_TOP, x*] from g'(_TOP) <= 0 and a - b >
     1/3, so g(_TOP) - min g <= |g'(_TOP)| * 2**-53 < (k(theta_TOP) - 1/3) *
     2**-53, about 4.9e-18 * 1.1e-16 = 5.4e-34, under _sign_exact's 1e-30.
     """
+    if m is _F64:
+        bound = _enclosed(p, EvalPoint(_zero_guess(p.a - p.b)), _SIGN_BAND)
+        if bound is not None:
+            return bound
+    x64 = _g_prime_zero64(p)
     pt = EvalPoint(_TOP if x64 is None else x64, None if m is _F64 else 40)
-    upper = family.g_eval(p, pt)
-    if m is _F64 or x64 is None or upper < -_HP_ZERO:
-        return upper
-    lower = upper - family.g_prime_eval(p, pt) ** 2 * 45 / 4  # 2 inf g'' = 4/45
-    if lower > _HP_ZERO:
-        return lower
+    if m is _F64 or x64 is None:
+        return family.g_eval(p, pt)
+    bound = _enclosed(p, pt, _HP_ZERO)
+    if bound is not None:
+        return bound
     return family.g_eval(p, EvalPoint(_polished_zero(p, x64), 40))
+
+
+def _enclosed(p: Params, pt: EvalPoint, zero):
+    """g at pt if below -zero, else g - g'**2 * 45/4 there if above zero, else None.
+
+    Each bounds min g and so has its sign; g' is read only if g does not decide.
+    """
+    upper = family.g_eval(p, pt)
+    if upper < -zero:
+        return upper
+    lower = upper - family.g_prime_eval(p, pt) ** 2 * 45 / 4
+    return lower if lower > zero else None
 
 
 def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
     """Class from computed signs of g(0), g(1-), the g' limits and min g.
 
     _decide reads them as for classify_symbolic, and _sign_exact re-reads
-    each within _SIGN_BAND of zero at 40 digits; for min g that is the
-    enclosure of _g_min at the float64 zero of g' (g at 1 - 2**-53 if that
-    zero is above every double), polished only when it straddles zero.
+    each within _SIGN_BAND of zero at 40 digits, min g through _g_min.
     Indeterminate means only a minimum of g still indistinguishable from
     zero at 40 digits.  tol must lie in (0, 1e-3] and chooses nothing: a
     float64 sign outside the band is exact, so the class never depended

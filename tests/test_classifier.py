@@ -354,6 +354,47 @@ def test_zero_of_g_prime_above_every_double_reads_g_at_the_last_one(monkeypatch)
             assert calls["chain_eval"].count(40) == 0, (classify.__name__, a, b, calls)
 
 
+def test_zero_guess_is_within_its_bound():
+    # the closed-form guess of the zero of g' is off by at most 4.3e-4 over
+    # the window, which keeps the float64 enclosure of min g there under
+    # 3e-8 wide; at and past the window's edges it is clamped into [0, _TOP]
+    from carlson_bounds import classifier
+
+    worst = 0.0
+    with workdps(50):
+        for i in range(1, 2001):
+            th = mp.pi / 2 * i / 2001
+            d = float(1 / th**2 - mp.cos(th) / (th * mp.sin(th)))
+            worst = max(worst, abs(classifier._zero_guess(d) - mp.cos(_tangent_theta(mpf(d)))))
+    assert worst < 5e-4, worst
+    assert classifier._zero_guess(ONE_THIRD) == classifier._zero_guess(0.3) == classifier._TOP
+    assert 0.0 <= classifier._zero_guess(FOUR_OVER_PI_SQ) < 1e-16
+    assert classifier._zero_guess(0.5) == 0.0
+
+
+@pytest.mark.parametrize("off", [1e-3, -1e-3, 2e-7, -2e-7, 1e-14, -1e-14])
+def test_min_g_decided_at_the_guess_seeks_no_zero_of_g_prime(off, monkeypatch):
+    # the enclosure of min g at the guessed zero is under 3e-8 wide, so a
+    # min g of 2e-7 or more in size is decided there with no zero of g'
+    # sought and none kept; nearer s*(d) the zero is sought, and both
+    # classifiers give the 50-digit class
+    from carlson_bounds import classifier
+
+    sought = []
+    real = classifier._g_prime_zero64
+    monkeypatch.setattr(classifier, "_g_prime_zero64", lambda p: sought.append(p) or real(p))
+    rng = random.Random(23)
+    for _ in range(20):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        a, b = _pair_at(d, _s_star50(d), off)
+        want = _window_class(a, b)
+        p = Params(a, b)
+        sought.clear()
+        assert classify_numeric(p) is classify_symbolic(p) is want, (a, b)
+        assert (len(sought) == 0) is (abs(off) > 1e-7), (a, b, off)
+        assert ("_zero64" in p.__dict__) is (abs(off) < 1e-7), (a, b, off)
+
+
 @pytest.mark.parametrize("off", [1e-11, -1e-11, 1e-13, -1e-13])
 def test_numeric_reads_signs_outside_the_band_in_float64_whatever_tol(off, monkeypatch):
     # min g of 1e-13 or more in size is far above its float64 error (under
@@ -480,9 +521,9 @@ def test_symbolic_numeric_disagreements_only_in_documented_strip():
 
 
 def test_second_classifier_of_one_params_seeks_no_zero_of_g_prime(monkeypatch):
-    # the float64 zero of g' is kept on the Params object, so whichever
-    # classifier comes second evaluates no float64 g' and gives the class
-    # a fresh object gets
+    # the float64 zero of g' and the sign of min g are kept on the Params
+    # object, so whichever classifier comes second evaluates no float64 g'
+    # and gives the class a fresh object gets
     rng = random.Random(19)
     calls = _count_hp_calls(monkeypatch)
     for _ in range(20):
