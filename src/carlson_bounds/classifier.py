@@ -23,6 +23,13 @@ them.  At 40 digits the enclosure at x64 decides every |min g| above
 about 1e-27; only a narrower min g, or a tol finer than float64 resolves
 in critical_point_g, polishes the zero, by _polished_zero.
 
+Every edge sign is exact: no edge value of doubles lies within 5.1e-34 of
+zero unless it is 0, far outside the 40-digit zero band _HP_BAND = 1e-45
+(both derived in _sign_exact).  Indeterminate therefore marks only a
+window pair whose |min g| is under that band, or, where the zero of g'
+lies above every double, under about 2.7e-34 plus the band, which no
+pair of doubles reaches (_g_min).
+
 The published strictly-increasing condition inside the window is
 a+b >= 2(a-b)**1.5/sqrt(4(a-b)-1).  That threshold only bounds the exact
 boundary s*(a-b) = exact_increasing_threshold(a-b) from above: on a strip
@@ -52,9 +59,9 @@ TWO_OVER_PI = 2.0 / math.pi
 FOUR_OVER_PI_SQ = 4.0 / math.pi**2
 ONE_THIRD = 1.0 / 3.0
 
-# the zero band of _sign_exact's 40-digit re-read, not a test of an exact zero:
-# right for 2a-1 at a = 0.5, but ROADMAP item 4's g(0) = -4.0e-33 reads as 0
-_HP_ZERO = mpf(1e-30)
+# zero band of _sign_exact's 40-digit re-read: 10**4 times the read's error
+# and under the least nonzero edge value of doubles, 5.1e-34 (see _sign_exact)
+_HP_BAND = mpf(1e-45)
 
 
 class RegionClass(Enum):
@@ -144,7 +151,7 @@ def classify_symbolic(p: Params) -> RegionClass:
 
 
 def _sign_exact(f, p: Params, *args) -> int:
-    """Sign of f(m, p, *args): in float64 outside _SIGN_BAND, else at 40 digits (0 if still ~0).
+    """Sign of f(m, p, *args): in float64 outside _SIGN_BAND, else at 40 digits (0 within _HP_BAND).
 
     A float64 value has the wrong sign only when it is smaller than its own
     error, which the band covers, with u = 2**-53:
@@ -174,23 +181,32 @@ def _sign_exact(f, p: Params, *args) -> int:
     The band is over seven times the edge and min g bounds and 2.5 times
     the g' one (1.3 times the lower bound's at an x far from the zero), so
     a wider band changes no sign, only the work.
+
+    The 40-digit read runs at 50 digits (hp_context's guard), 169 bits: a
+    value under 1 errs there by a few units of 2**-169 = 1.3e-51, so by
+    about 1e-49 at most, through the enclosure or the polish of min g too;
+    interior points take family's doubled precision near 1.  _HP_BAND =
+    1e-45 is 10**4 times that, and below the least nonzero edge value:
+
+    - Let c be 2/pi, 4/pi**2 or 1/3 and delta_c its distance to the
+      nearest double.  If |a + b - c| < delta_c/2, the term with the
+      smaller exponent exceeds delta_c/2 in size (else the other, a
+      double, lies within delta_c of c); so it and the other term are
+      multiples of u = 2**(floor(log2(delta_c/2)) - 52), and so is a + b,
+      which 169 bits then hold exactly.  So |a + b - c| >= dist(c, u*Z),
+      which is below delta_c/2: 9.37e-34 for 2/pi, 7.50e-34 for 4/pi**2
+      and 5.14e-34 for 1/3 (test_zero_band_lies_under_the_edge_floor).
+      The same holds for a - b = a + (-b), and 2a - 1 is 0 only at a =
+      1/2.  So every edge value of doubles is 0 or at least 5.14e-34 in
+      size, its 40-digit sign is exact, and a 40-digit min g decides
+      unless its size is under the band (see _g_min).
     """
     value = f(_F64, p, *args)
     if abs(value) >= _SIGN_BAND:
         return -1 if value < 0.0 else 1
     with hp_context(40):
         v = f(_MP, p, *args)
-        if v > _HP_ZERO:
-            return 1
-        if v < -_HP_ZERO:
-            return -1
-    return 0
-
-
-def _edge_signs(p: Params) -> tuple[int, int, int, int]:
-    """Signs of g(0), g(1-), g'(0) and g'(1-); the last two are (-1, 1) in the window."""
-    return (_sign_exact(family._g, p, 0), _sign_exact(family._g_at_1, p),
-            _sign_exact(family._g_prime, p, 0), _sign_exact(family._g_prime_at_1, p))
+        return (v > _HP_BAND) - (v < -_HP_BAND)
 
 
 def _decide(p: Params, published: bool) -> RegionClass:
@@ -200,11 +216,13 @@ def _decide(p: Params, published: bool) -> RegionClass:
     no min g is sought.  Outside the window g runs monotonically from g(0)
     to g(1-): f increases when the lower end is >= 0, else g changes sign
     once, a unique min (g' > 0) or max (g' < 0), Indeterminate if published.
-    In the window the sign of min g decides (Indeterminate if ~0 at 40
-    digits), then those of g(0) and g(1-); that sign depends on (a, b)
-    alone and is kept on p, so the second classifier of p reads it.
+    In the window the sign of min g decides (Indeterminate if under
+    _HP_BAND at 40 digits), then those of g(0) and g(1-); that sign
+    depends on (a, b) alone and is kept on p, so the second classifier of
+    p reads it.
     """
-    s0, s1, lo, hi = _edge_signs(p)
+    s0, s1 = _sign_exact(family._g, p, 0), _sign_exact(family._g_at_1, p)
+    lo, hi = _sign_exact(family._g_prime, p, 0), _sign_exact(family._g_prime_at_1, p)  # (-1, 1) in the window
     if s0 <= 0 and s1 <= 0:
         return RegionClass.STRICTLY_DECREASING
     if lo >= 0 or hi <= 0:
@@ -293,13 +311,15 @@ def _g_prime_root(p: Params, lo, hi, width, digits: int | None, x):
 def _g_prime_zero64(p: Params):
     """Float64 zero of g' in (0, _TOP) for p in the window, by Newton from _zero_guess.
 
-    None puts the zero above every double (g'(_TOP) <= 0).  The zero depends
-    on (a, b) alone: it is sought once per Params object and kept on it,
-    past the frozen dataclass as cached_property does, where equality,
-    hash, repr and asdict, which read the fields, do not see it.
+    None puts the zero above every double (g'(_TOP) <= 0, read through
+    g_prime_eval, which at 40 digits takes twice the bits 1 - _TOP lacks:
+    a bare 50-digit read errs by 7e-36 there, over _HP_BAND).  The zero
+    depends on (a, b) alone: it is sought once per Params object and kept
+    on it, past the frozen dataclass as cached_property does, where
+    equality, hash, repr and asdict, which read the fields, do not see it.
     """
     if "_zero64" not in p.__dict__:
-        top = _sign_exact(lambda m, p: family._g_prime(m, p, m.num(_TOP)), p)
+        top = _sign_exact(lambda m, p: family.g_prime_eval(p, EvalPoint(_TOP, None if m is _F64 else 40)), p)
         p.__dict__["_zero64"] = (None if top <= 0 else
                                  _g_prime_root(p, 0.0, _TOP, _ZERO64_RES, None, _zero_guess(p.a - p.b)))
     return p.__dict__["_zero64"]
@@ -320,8 +340,8 @@ def _g_min(m, p: Params):
     m = _F64 returns a bound at _zero_guess beyond _SIGN_BAND if there is
     one, else g at the kept float64 zero x64 = _g_prime_zero64(p), within
     about g'' * 1e-24 of min g.  m = _MP returns a bound at x64, at 40
-    digits, beyond _HP_ZERO = 1e-30, the zero of _sign_exact; it reads p
-    itself, as the rounded a - b of a tangent pair (d/2, -d/2) can flip a
+    digits, beyond _HP_BAND = 1e-45, the zero band of _sign_exact; it reads
+    p itself, as the rounded a - b of a tangent pair (d/2, -d/2) can flip a
     min g below about 3e-17.  The float64 search stops at |g'| <= 4.4e-15
     or within 1e-13 of the zero, and float64 g' errs by under 4e-15, so
     the enclosure at x64 is at most about 1e-27 wide.  Narrower, g is
@@ -329,37 +349,43 @@ def _g_min(m, p: Params):
     within 4e-36 of the zero x* (the width when |g'(x~)| or the bracket
     proves it, else |s| * (1 + sup g''/inf g'') after a Newton step s), and
     g is stationary at x*, so g(x~) - min g <= sup g'' * (x~ - x*)**2 / 2
-    < 1e-70.
+    < 1e-70.  So a 40-digit min g is Indeterminate only under the band.
 
-    When x64 is None, x* lies in [_TOP, 1) and both backends return
-    g(_TOP): g' rises through [_TOP, x*] from g'(_TOP) <= 0 and a - b >
-    1/3, so g(_TOP) - min g <= |g'(_TOP)| * 2**-53 < (k(theta_TOP) - 1/3) *
-    2**-53, about 4.9e-18 * 1.1e-16 = 5.4e-34, under _sign_exact's 1e-30.
+    When x64 is None, x* lies in [_TOP, 1), and the enclosure is read at
+    _TOP: g' rises through [_TOP, x*] from g'(_TOP) <= 0 and a - b > 1/3,
+    so |g'(_TOP)| < k(theta_TOP) - 1/3, about 4.9e-18, and g'**2 * 45/4 <
+    2.7e-34 there.  So g(_TOP) is within 2.7e-34 of min g, far under
+    _SIGN_BAND, and float64 returns it.  At 40 digits an enclosure that
+    straddles the band gives 0, Indeterminate: |min g| is then under about
+    2.7e-34 plus the band.  No pair of doubles gets there: g(_TOP) is
+    within 5.4e-34 of g(1-) = 2a - 1, which is 0 only at a = 1/2, and
+    there a - b is a multiple of 2**-55, so a - b - 1/3 is at least
+    9.2e-18 in size and x64 is not None.
     """
     if m is _F64:
         bound = _enclosed(p, EvalPoint(_zero_guess(p.a - p.b)), _SIGN_BAND)
-        if bound is not None:
+        if bound:
             return bound
     x64 = _g_prime_zero64(p)
     pt = EvalPoint(_TOP if x64 is None else x64, None if m is _F64 else 40)
-    if m is _F64 or x64 is None:
+    if m is _F64:
         return family.g_eval(p, pt)
-    bound = _enclosed(p, pt, _HP_ZERO)
-    if bound is not None:
+    bound = _enclosed(p, pt, _HP_BAND)
+    if bound or x64 is None:
         return bound
     return family.g_eval(p, EvalPoint(_polished_zero(p, x64), 40))
 
 
-def _enclosed(p: Params, pt: EvalPoint, zero):
-    """g at pt if below -zero, else g - g'**2 * 45/4 there if above zero, else None.
+def _enclosed(p: Params, pt: EvalPoint, band):
+    """g at pt if below -band, else g - g'**2 * 45/4 there if above band, else 0.
 
     Each bounds min g and so has its sign; g' is read only if g does not decide.
     """
     upper = family.g_eval(p, pt)
-    if upper < -zero:
+    if upper < -band:
         return upper
     lower = upper - family.g_prime_eval(p, pt) ** 2 * 45 / 4
-    return lower if lower > zero else None
+    return lower if lower > band else 0
 
 
 def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
@@ -367,10 +393,12 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
 
     _decide reads them as for classify_symbolic, and _sign_exact re-reads
     each within _SIGN_BAND of zero at 40 digits, min g through _g_min.
-    Indeterminate means only a minimum of g still indistinguishable from
-    zero at 40 digits.  tol must lie in (0, 1e-3] and chooses nothing: a
-    float64 sign outside the band is exact, so the class never depended
-    on it.
+    Every edge sign is exact, so Indeterminate marks only a window pair
+    whose |min g| is under the 40-digit band 1e-45, or under about 2.7e-34
+    plus that band where the zero of g' lies above every double (a-b
+    within 4.9e-18 above 1/3; no pair of doubles reaches this, see
+    _g_min).  tol must lie in (0, 1e-3] and chooses nothing: a float64
+    sign outside the band is exact, so the class never depended on it.
     """
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")

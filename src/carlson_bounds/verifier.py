@@ -408,7 +408,7 @@ _SIDE = {"lower": 0, "upper": 1}
 # inequalities: two stated coincidences, one stated one-way dominance (plus
 # its mirror through the coincident side), everything else two-way
 def _comparisons():
-    c, t2, tr, t3 = bnd.carlson(), bnd.thm2(bnd.ONE_SIXTH), bnd.thm2_reversed(bnd.B_STAR), bnd.thm3()
+    c, t2, tr, t3 = bnd.DEFAULT_FAMILIES
     return [
         ("upper", c, t2, "equal"),
         ("lower", c, t3, "equal"),

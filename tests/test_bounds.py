@@ -594,6 +594,13 @@ def test_bound_table_single_point_single_family():
     assert rows[0]["lower_family"] == "carlson"
 
 
+def test_bound_table_refuses_one_sided_families():
+    # thm2_maxcoef bounds arccos from above only, thm2_mincoef from below only
+    for fams in ((thm2_maxcoef(0.5, 0.14),), (thm2_mincoef(0.51, 0.12),)):
+        with pytest.raises(ValueError, match="no two-sided interval"):
+            bound_table([0.25, 0.5], enabled=fams)
+
+
 # ulp ladders at 0 and at 1, and the CLI's --grid 1000 points i/1001
 _REFERENCE_GRID = sorted(
     [k * 2.0**-1074 for k in range(1, 21)]

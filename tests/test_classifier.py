@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -26,6 +27,7 @@ from carlson_bounds.classifier import (
     necessary_increasing,
 )
 from carlson_bounds.family import EvalPoint, Params, g_eval, g_prime_eval
+from carlson_bounds.oracle import hp_context
 from carlson_bounds.verifier import _CLASS_PATTERNS, scan_pattern
 
 DEC = RegionClass.STRICTLY_DECREASING
@@ -372,6 +374,24 @@ def test_zero_guess_is_within_its_bound():
     assert classifier._zero_guess(0.5) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-3, 0.3])
+def test_zero_of_g_prime_bisects_where_newton_leaves_the_bracket(scale, monkeypatch):
+    # a g'' read too small makes each Newton step overshoot the bracket of
+    # the zero; the step is then replaced by the bracket's midpoint, and the
+    # search still ends within 1e-13 of the zero, at any start
+    from carlson_bounds import classifier
+
+    real = family.chain_eval
+    monkeypatch.setattr(family, "chain_eval", lambda which, pt: real(which, pt) * scale)
+    for d in (ONE_THIRD + 1e-3, 0.37, FOUR_OVER_PI_SQ - 1e-3):
+        p = Params(0.5, 0.5 - d)
+        with workdps(50):
+            zero = mp.cos(_tangent_theta(mpf(p.a) - mpf(p.b)))
+        for start in (0.0, 0.5, classifier._TOP):
+            x = classifier._g_prime_root(p, 0.0, classifier._TOP, classifier._ZERO64_RES, None, start)
+            assert abs(x - zero) < 2e-13, (d, start, x)
+
+
 @pytest.mark.parametrize("off", [1e-3, -1e-3, 2e-7, -2e-7, 1e-14, -1e-14])
 def test_min_g_decided_at_the_guess_seeks_no_zero_of_g_prime(off, monkeypatch):
     # the enclosure of min g at the guessed zero is under 3e-8 wide, so a
@@ -456,6 +476,12 @@ def test_exact_threshold_is_the_nearest_double():
         assert exact_increasing_threshold(d) == float(_s_star50(d)), d
 
 
+def test_exact_threshold_refuses_a_minus_b_outside_the_window():
+    for d in (ONE_THIRD, FOUR_OVER_PI_SQ, 0.3, 0.5):
+        with pytest.raises(ValueError, match="exact threshold needs"):
+            exact_increasing_threshold(d)
+
+
 def test_numeric_tol_validation():
     with pytest.raises(ValueError):
         classify_numeric(Params(0, 0), tol=0.0)
@@ -480,6 +506,16 @@ def test_max_then_min_condition_over_covers():
     x0 = critical_point_g(p, 1e-9)
     assert x0 is not None
     assert float(g_eval(p, EvalPoint(x0, digits=40))) > 0
+
+
+def test_max_then_min_region_is_empty_outside_the_window():
+    # the rest of the published condition holds at the first two pairs, with
+    # a-b just past 4/pi**2 and below 1/3; below a-b = 1/4 it cannot be read
+    for a, b in ((0.535, 0.115), (0.51, 0.21), (0.6, 0.5)):
+        p = Params(a, b)
+        assert not in_max_then_min_region(p), p
+        if a - b > 0.25:
+            assert TWO_OVER_PI < a + b < increasing_threshold(a - b) and a > 0.5, p
 
 
 def _ulps(x, k):
@@ -562,6 +598,175 @@ def test_classified_params_stay_equal_to_a_fresh_one(a, b):
         assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
         assert (classify_numeric(q), classify_symbolic(q), classify_numeric(q, 1e-4)) == classes
     assert (classify_numeric(fresh), classify_symbolic(fresh), classify_numeric(fresh, 1e-4)) == classes
+
+
+# ---------------------------------------------------------------------------
+# exact edge signs and the 40-digit zero band
+
+# ROADMAP item 4's pairs: a+b or a-b of two doubles within 1e-32 of 2/pi or 4/pi**2
+_EDGE_PAIRS = [
+    (0.6366197723675814, -3.935735335036498e-17),  # g(0) = -4.0e-33: UniqueMin
+    (-3.935735335036497e-17, 0.6366197723675814),  # g(0) = +2.1e-33: UniqueMax
+    (0.40528473456935116, 7.13763107490156e-17),  # g'(0) = -8.5e-33, zero of g' at 7.0e-32
+]
+
+
+def _class400(a, b):
+    """Class of (a, b) from its edge signs at 400 bits, and min g there when they leave it open."""
+    with mp.workprec(400):
+        am, bm = mpf(a), mpf(b)
+        s, d = am + bm, am - bm
+        g0, g1 = s - 2 / mp.pi, 2 * am - 1
+        if g0 <= 0 and g1 <= 0:  # the convex g is <= 0 throughout
+            return DEC
+        if d >= 4 / mp.pi**2:  # g' > 0: g rises from g(0)
+            return INC if g0 >= 0 else MIN
+        if d <= mpf(1) / 3:  # g' < 0: g falls to g(1-)
+            return INC if g1 >= 0 else MAX
+        th = _tangent_theta(d, 400)
+        if s + d * mp.cos(th) - mp.sin(th) / th > 0:
+            return INC
+        return {(True, False): MAX, (False, True): MIN, (True, True): MTM}[(g0 > 0, g1 > 0)]
+
+
+def test_pairs_within_1e_32_of_an_edge_take_the_400_bit_class():
+    # no edge value of doubles is nonzero and under 5.1e-34 in size, so the
+    # 40-digit zero band (1e-45) reads each of these signs right; a band of
+    # 1e-30 read g(0) = -4.0e-33 and +2.1e-33 as 0 and gave StrictlyIncreasing
+    # and StrictlyDecreasing.  The neighbours, up to 3 ulps off in a and in
+    # b, cross each edge: one ulp of b moves g(0) by 6.2e-33 or g'(0) by 1.2e-32
+    wrong = []
+    for a0, b0 in _EDGE_PAIRS:
+        for i, j in itertools.product(range(-3, 4), repeat=2):
+            a, b = _ulps(a0, i), _ulps(b0, j)
+            want = _class400(a, b)
+            with mp.workprec(400):
+                outside = not mpf(1) / 3 < mpf(a) - mpf(b) < 4 / mp.pi**2
+            sym_want = IND if want in (MAX, MIN) and outside else want
+            got = (classify_numeric(Params(a, b)), classify_symbolic(Params(a, b)))
+            if got != (want, sym_want):
+                wrong.append((a, b, got, want))
+    assert not wrong, (len(wrong), wrong[:5])
+
+
+def test_zero_of_g_prime_next_to_4_over_pi_sq_is_the_nearest_double():
+    # at item 4's third pair g'(0) = -8.5e-33, so the zero of g' lies at
+    # 7.0e-32; a tol of 1e-300 gets the double nearest it, and its
+    # neighbours get theirs, or None where a-b is at or past 4/pi**2
+    a0, b0 = _EDGE_PAIRS[2]
+    for i, j in itertools.product(range(-3, 4), repeat=2):
+        p = Params(_ulps(a0, i), _ulps(b0, j))
+        with workdps(70):
+            d = mpf(p.a) - mpf(p.b)
+            want = float(mp.cos(_tangent_theta(d, 200))) if d < 4 / mp.pi**2 else None
+        assert critical_point_g(p, 1e-300) == want, (p, want)
+    assert critical_point_g(Params(a0, b0), 1e-300) == 7.044078317820067e-32
+
+
+def _edge_floor(c):
+    """dist(c, u*Z) with u = 2**(floor(log2(delta/2)) - 52), delta = c's distance to the nearest double."""
+    delta = abs(c - mpf(float(c)))
+    u = mpf(2) ** (int(mp.floor(mp.log(delta / 2, 2))) - 52)
+    return delta, abs(c - mp.nint(c / u) * u)
+
+
+def test_zero_band_lies_under_the_edge_floor():
+    # the floor derived in _sign_exact, recomputed: a+b or a-b of doubles
+    # within delta/2 of c lies on the grid u*Z, so it is at least
+    # dist(c, u*Z) from c.  Splits of c into a double a, near c or c minus
+    # a power-of-two share of it, and the doubles nearest c - a keep that
+    # distance.  The 40-digit zero band lies under the least floor and
+    # 1,000 times above the error of every 40-digit read the classifier makes
+    from carlson_bounds import classifier
+
+    floors = []
+    with mp.workprec(400):
+        for c, want in ((2 / mp.pi, 9.37e-34), (4 / mp.pi**2, 7.50e-34), (mpf(1) / 3, 5.14e-34)):
+            delta, floor = _edge_floor(c)
+            assert floor < delta / 2 and abs(floor / want - 1) < 1e-3, (c, floor)
+            floors.append(floor)
+            near = [_ulps(float(c), k) for k in range(-4, 5)]
+            near += [float(c * (1 - mpf(2) ** -k)) for k in range(1, 60)]
+            for a in near:
+                rest = float(c - a)
+                for b in (_ulps(rest, -1), rest, _ulps(rest, 1)):
+                    assert abs(mpf(a) + mpf(b) - c) >= floor, (c, a, b)
+    assert classifier._HP_BAND < min(floors) < 5.2e-34
+
+    # the 40-digit reads: the four edge values, g' at the last double below
+    # 1, and g and g' at the float64 zero of g', against 120 digits
+    rng = random.Random(45)
+    params = [Params(_ulps(a, k), b) for a, b in _EDGE_PAIRS for k in (-1, 0, 1)]
+    for _ in range(10):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        params.append(Params(*_pair_at(d, _s_star50(d), 0)))
+    params += [Params(ONE_THIRD, -(10.0**-k)) for k in (18, 17, 16)]
+    errors = []
+    for p in params:
+        for f, args in ((family._g, (0,)), (family._g_at_1, ()), (family._g_prime, (0,)),
+                        (family._g_prime_at_1, ())):
+            with hp_context(40):
+                v40 = f(family._MP, p, *args)
+            with hp_context(120):
+                errors.append(abs(v40 - f(family._MP, p, *args)))
+        xs = [classifier._TOP]
+        if classifier.in_window(p) and classifier._g_prime_zero64(p) is not None:
+            xs.append(classifier._g_prime_zero64(p))
+        for x in xs:
+            for ev in (g_eval, g_prime_eval):
+                errors.append(abs(ev(p, EvalPoint(x, 40)) - ev(p, EvalPoint(x, 120))))
+    assert 1000 * max(errors) < classifier._HP_BAND, max(errors)
+
+
+def test_g_prime_at_the_last_double_is_read_with_doubled_precision(monkeypatch):
+    # a-b within 1e-14 of 1/3 puts float64 g'(1 - 2**-53) inside the sign
+    # band, so it is re-read at 40 digits, through g_prime_eval, which takes
+    # twice the bits 1 - x lacks: against 120 digits it is off by under
+    # 1e-60, where the closed form at 50 digits alone is 6.7e-36 off
+    from carlson_bounds import classifier
+
+    seen = []
+    real = family.g_prime_eval
+
+    def recording(p, pt):
+        v = real(p, pt)
+        seen.append((pt, v))
+        return v
+
+    monkeypatch.setattr(family, "g_prime_eval", recording)
+    for gap in (-1e-15, -1e-17, 1e-17, 1e-15):
+        p = Params(0.5, 0.5 - ONE_THIRD - gap)
+        seen.clear()
+        classifier._g_prime_zero64(p)
+        reads = [v for pt, v in seen if pt == EvalPoint(classifier._TOP, 40)]
+        assert len(reads) == 1, (p, seen)
+        assert abs(reads[0] - real(p, EvalPoint(classifier._TOP, 120))) < 1e-60, p
+
+
+def test_min_g_above_every_double_is_read_through_its_enclosure(monkeypatch):
+    # where the zero of g' lies above every double, the 40-digit min g is
+    # an end of its enclosure at the last double, g - g'**2 * 45/4 <= min g
+    # <= g, which is under 2.7e-34 wide; one that straddles the band gives
+    # 0, Indeterminate
+    from carlson_bounds import classifier
+
+    with workdps(50):
+        third = mpf(1) / 3
+        pairs = [(ONE_THIRD, float(ONE_THIRD - third - mpf(gap))) for gap in ("1e-18", "4e-18")]
+        pairs += [(float(b + third + mpf("2e-18")), b) for b in (-0.33, -0.335)]
+    for a, b in pairs:
+        p = Params(a, b)
+        assert classifier._g_prime_zero64(p) is None, p
+        with hp_context(40):
+            got = classifier._g_min(family._MP, p)
+        with mp.workprec(400):
+            d = mpf(a) - mpf(b)
+            th = _tangent_theta(d, 400)
+            min_g = mpf(a) + mpf(b) + d * mp.cos(th) - mp.sin(th) / th
+            assert got * min_g > 0 and abs(got - min_g) < 2.7e-34, (p, got, min_g)
+        with monkeypatch.context() as m, hp_context(40):
+            m.setattr(classifier, "_HP_BAND", 2 * abs(min_g))
+            assert classifier._g_min(family._MP, p) == 0, p
 
 
 # ---------------------------------------------------------------------------

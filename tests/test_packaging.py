@@ -1,5 +1,6 @@
-"""The package runs on mpmath alone: numpy is neither declared nor imported."""
+"""Packaging: the package runs on mpmath alone, and its console script resolves."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -56,3 +57,13 @@ def test_mpmath_is_the_only_runtime_dependency():
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
     deps = meta["project"]["dependencies"]
     assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["mpmath"]
+
+
+def test_console_script_resolves_to_the_cli_entrypoint():
+    # every CLI test runs `python -m carlson_bounds`; the installed
+    # carlson-bounds script calls this target instead
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert meta["project"]["scripts"] == {"carlson-bounds": "carlson_bounds.cli:entrypoint"}
+    module, _, attr = meta["project"]["scripts"]["carlson-bounds"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpf, workdps
@@ -352,6 +353,25 @@ def test_sign_chain_passes():
     assert rep.samples == 1000
 
 
+def test_sign_chain_names_the_first_point_of_a_failing_margin(monkeypatch):
+    # h read as negative from x = 1/2 on: h > 0 fails there first
+    from carlson_bounds import family
+
+    real = family.chain_eval
+
+    def bad_h(which, pt):
+        v = real(which, pt)
+        return -v if which == "h" and pt.digits is None and pt.x >= 0.5 else v
+
+    monkeypatch.setattr(family, "chain_eval", bad_h)
+    rep = check_sign_chain(1000)
+    assert not rep.passed and rep.worst_margin < 0
+    xs = [(1.0 - 1e-8) * i / 999 for i in range(1000)]
+    first = min(x for x in xs if x >= 0.5)
+    assert rep.witnesses[0][0] == first
+    assert rep.witnesses[0][1].startswith("h>0 margin -")
+
+
 def test_sign_chain_validation():
     with pytest.raises(ValueError):
         check_sign_chain(100)
@@ -379,6 +399,19 @@ def test_sharpness_thm3_constants():
     rep = check_sharpness("thm3_constants", 1e-6)
     assert rep.passed
     assert rep.worst_margin > 0
+
+
+def test_sharpness_thm3_constants_witness_a_rising_f(monkeypatch):
+    # F read as rising on the float64 grid fails the monotone decrease,
+    # while both endpoint constants still match
+    from carlson_bounds import family
+
+    real = family.big_f_eval
+    monkeypatch.setattr(family, "big_f_eval", lambda pt: real(pt) + (20 * pt.x if pt.digits is None else 0))
+    rep = check_sharpness("thm3_constants", 1e-6)
+    assert not rep.passed and rep.worst_margin < 0
+    assert rep.witnesses[-1] == (0.0, "monotone decrease failed")
+    assert len(rep.witnesses) == 3
 
 
 def test_sharpness_validation():
@@ -461,6 +494,37 @@ def _identities_reference(n, seed, digits=40):
             else:
                 margins.append(min(a_pt[1], b_pt[1]))
     return VerificationReport("identities", n + 999 + len(grid_d), min(margins), not witnesses, witnesses)
+
+
+class _ScriptedRandom:
+    """random.Random stand-in whose uniform draws come from a list, then from Random(0)."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.rest = random.Random(0)
+
+    def uniform(self, lo, hi):
+        return self.draws.pop(0) if self.draws else self.rest.uniform(lo, hi)
+
+
+def test_identities_skip_a_near_b_and_witness_differing_discriminants(monkeypatch):
+    # (0.3, 0.3 + 1e-7) has a = b to 1e-6 and is drawn, not counted; the
+    # next 1000 pairs are, and the discriminant forms differ at the second
+    # of them, (0.4, -0.2), as a patched quadratic form makes them
+    seen = []
+    real = verifier._disc_quadratic
+
+    def patched(p):
+        seen.append((p.a, p.b))
+        return real(p) + (1.0 if (p.a, p.b) == (0.4, -0.2) else 0.0)
+
+    monkeypatch.setattr(verifier, "_disc_quadratic", patched)
+    scripted = _ScriptedRandom([0.3, 0.3 + 1e-7, 0.1, 0.7, 0.4, -0.2])
+    monkeypatch.setattr(verifier, "random", SimpleNamespace(Random=lambda seed: scripted))
+    rep = check_identities(1000, seed=0)
+    assert len(seen) == 1000 and seen[:2] == [(0.1, 0.7), (0.4, -0.2)]
+    assert not rep.passed and rep.worst_margin < 0
+    assert rep.witnesses == [([0.4, -0.2], "discriminant forms differ by 1.0")]
 
 
 @pytest.mark.parametrize("digits", [17, 40, 200])
