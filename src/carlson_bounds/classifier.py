@@ -13,15 +13,17 @@ As g'' >= 2/45 on [0, 1), g lies above its tangent parabola at any x, so
 
     g(x) - g'(x)**2 * 45/4 <= min g <= g(x).
 
-_g_min reads this in float64 at _zero_guess, a closed-form guess of the
-zero of g', which decides every |min g| above about 3e-8.  Only a
-narrower min g seeks the float64 zero x64 on every double below 1, by
-_g_prime_root, the one safeguarded Newton iteration (its slope g'' is the
-parameter-free proof-chain function).  x64 and the sign of min g are
-kept on the Params object, so both classifiers and critical_point_g share
-them.  At 40 digits the enclosure at x64 decides every |min g| above
-about 1e-27; only a narrower min g, or a tol finer than float64 resolves
-in critical_point_g, polishes the zero, by _polished_zero.
+_g_min reads this in float64 at _zero_guess, a polynomial within 4.1e-11
+of the zero of g', where it is under 3e-22 wide, so it decides every
+|min g| outside _SIGN_BAND.  Only a min g inside the band, critical_point_g
+and exact_increasing_threshold seek the float64 zero x64 on every double
+below 1, by _g_prime_root, the one safeguarded Newton iteration (its slope
+g'' is the parameter-free proof-chain function), which from the guess
+takes one step.  x64 and the five signs are kept on the Params object,
+so both classifiers and critical_point_g share them.  At 40
+digits the enclosure at x64 decides every |min g| above about 1e-27; only
+a narrower min g, or a tol finer than float64 resolves in
+critical_point_g, polishes the zero, by _polished_zero.
 
 Every edge sign is exact: no edge value of doubles lies within 5.1e-34 of
 zero unless it is 0, far outside the 40-digit zero band _HP_BAND = 1e-45
@@ -52,7 +54,7 @@ from enum import Enum
 from mpmath import mpf
 
 from . import family
-from .family import _F64, _MP, EvalPoint, Params, increasing_threshold
+from .family import _F64, _MP, EvalPoint, Params, _poly, increasing_threshold
 from .oracle import hp_context
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -171,8 +173,8 @@ def _sign_exact(f, p: Params, *args) -> int:
       rounds twice, a+b and their sum once each, and the difference is
       exact: under 12u = 1.4e-15 in all.  The lower bound's g'**2 * 45/4
       errs by under 22.5 * 0.072 * 4e-15 = 6.5e-15 (|g'| < 0.072 in the
-      window), 5e-18 at _zero_guess.  g(x64) exceeds min g by under
-      1e-26 (x64 is within about 2e-13 of the zero, _ZERO64_RES plus the
+      window), 5e-25 at _zero_guess (|g'| < 5e-12 there).  g(x64)
+      exceeds min g by under 1e-26 (x64 is within about 2e-13 of the zero, _ZERO64_RES plus the
       float64 error of g' over g'' >= 2/45, and g'' <= 0.12).
     - g' at an interior x, up to the top 1 - 2**-53 of the float64
       bracket in _g_prime_zero64, errs by under 4e-15 (pinned by
@@ -217,12 +219,19 @@ def _decide(p: Params, published: bool) -> RegionClass:
     to g(1-): f increases when the lower end is >= 0, else g changes sign
     once, a unique min (g' > 0) or max (g' < 0), Indeterminate if published.
     In the window the sign of min g decides (Indeterminate if under
-    _HP_BAND at 40 digits), then those of g(0) and g(1-); that sign
-    depends on (a, b) alone and is kept on p, so the second classifier of
-    p reads it.
+    _HP_BAND at 40 digits), then those of g(0) and g(1-).  The five signs
+    depend on (a, b) alone and are kept on p, so the second classifier of
+    p reads none of them again.
     """
-    s0, s1 = _sign_exact(family._g, p, 0), _sign_exact(family._g_at_1, p)
-    lo, hi = _sign_exact(family._g_prime, p, 0), _sign_exact(family._g_prime_at_1, p)  # (-1, 1) in the window
+    kept = p.__dict__  # what depends on (a, b) alone, kept as _g_prime_zero64 keeps the zero
+    if "_edge_signs" not in kept:
+        kept["_edge_signs"] = (
+            _sign_exact(family._g, p, 0),
+            _sign_exact(family._g_at_1, p),
+            _sign_exact(family._g_prime, p, 0),
+            _sign_exact(family._g_prime_at_1, p),
+        )
+    s0, s1, lo, hi = kept["_edge_signs"]  # lo, hi = -1, 1 in the window
     if s0 <= 0 and s1 <= 0:
         return RegionClass.STRICTLY_DECREASING
     if lo >= 0 or hi <= 0:
@@ -231,9 +240,9 @@ def _decide(p: Params, published: bool) -> RegionClass:
         if published:
             return RegionClass.INDETERMINATE
         return RegionClass.UNIQUE_MIN if lo >= 0 else RegionClass.UNIQUE_MAX
-    if "_min_g_sign" not in p.__dict__:  # kept as _g_prime_zero64 keeps the zero
-        p.__dict__["_min_g_sign"] = _sign_exact(_g_min, p)
-    sm = p.__dict__["_min_g_sign"]
+    if "_min_g_sign" not in kept:
+        kept["_min_g_sign"] = _sign_exact(_g_min, p)
+    sm = kept["_min_g_sign"]
     if sm == 0:
         return RegionClass.INDETERMINATE
     if sm > 0:
@@ -259,22 +268,28 @@ _TOP = math.nextafter(1.0, 0.0)
 # 2/45); critical_point_g meets a finer tol by _polished_zero
 _ZERO64_RES = 1e-13
 
-# c in _zero_guess: its theta is pi/2, the zero 0, at d = 4/pi**2
-_GUESS_C = 180.0 / math.pi**2 - 1.0 / (FOUR_OVER_PI_SQ - ONE_THIRD)
+# q in _zero_guess, highest power first, from scripts/zero_guess_fit.py
+_GUESS_Q = (
+    -0.00011776890660251154, 0.0008356554993722193, -0.003205626311793831, 0.009467396630313756,
+    -0.024997519442092952, 0.06210651633271636, -0.14566073579585903, 0.3171141935921868,
+    -0.6189065254955323, 1.0,
+)
 
 
 def _zero_guess(d: float) -> float:
-    """The zero t = cos(theta) of g' for a - b = d, within 4.3e-4, in closed form.
+    """The zero x* = cos(theta) of g' for a - b = d, within 4.1e-11, as a polynomial.
 
-    With u = d - 1/3, d = r'(t) = 1/theta**2 - cot(theta)/theta = 1/3 +
-    theta**2/45 + 2 theta**4/945 + ..., so theta**2 = 45u - 192.9u**2 + ...
-    The guess takes theta**2 = 45u / (1 + c u), clamped to [0, _TOP]: c =
-    4.34 is exact at theta = pi/2, and 45c = 195.3.  The 4.3e-4, from a
-    50-digit scan (test_zero_guess_is_within_its_bound), keeps |g'| under
-    5.2e-5 and the enclosure of min g under 3e-8 wide.
+    x* runs along the curve d = k(theta) = 1/theta**2 - cot(theta)/theta
+    from 1 at d = 1/3 to 0 at d = 4/pi**2.  With t = (d - 1/3) / (4/pi**2
+    - 1/3), clamped to [0, 1], the guess is (1 - t) q(t), capped at _TOP:
+    q(0) = 1 and the rest of q, of degree 9, is the least-squares fit to
+    that curve made by scripts/zero_guess_fit.py, which prints _GUESS_Q.
+    The 4.1e-11, from a 50-digit scan (test_zero_guess_is_within_its_bound),
+    keeps |g'| under 5e-12 there (g'' <= 0.12) and the enclosure of min g
+    under 3e-22 wide.
     """
-    u = max(d - ONE_THIRD, 0.0)
-    return min(max(math.cos(math.sqrt(45.0 * u / (1.0 + _GUESS_C * u))), 0.0), _TOP)
+    t = min(max(d - ONE_THIRD, 0.0) / (FOUR_OVER_PI_SQ - ONE_THIRD), 1.0)
+    return min((1.0 - t) * _poly(_GUESS_Q, t), _TOP)
 
 
 def _g_prime_root(p: Params, lo, hi, width, digits: int | None, x):
@@ -313,10 +328,13 @@ def _g_prime_zero64(p: Params):
 
     None puts the zero above every double (g'(_TOP) <= 0, read through
     g_prime_eval, which at 40 digits takes twice the bits 1 - _TOP lacks:
-    a bare 50-digit read errs by 7e-36 there, over _HP_BAND).  The zero
-    depends on (a, b) alone: it is sought once per Params object and kept
-    on it, past the frozen dataclass as cached_property does, where
-    equality, hash, repr and asdict, which read the fields, do not see it.
+    a bare 50-digit read errs by 7e-36 there, over _HP_BAND).  The guess
+    is within 4.1e-11 of the zero, so the search takes one Newton step:
+    three g' reads, the one at _TOP among them, and one g'' read
+    (test_zero_search_from_the_guess_takes_one_step).  The zero depends on
+    (a, b) alone: it is sought once per Params object and kept on it, past
+    the frozen dataclass as cached_property does, where equality, hash,
+    repr and asdict, which read the fields, do not see it.
     """
     if "_zero64" not in p.__dict__:
         top = _sign_exact(lambda m, p: family.g_prime_eval(p, EvalPoint(_TOP, None if m is _F64 else 40)), p)
@@ -338,11 +356,13 @@ def _g_min(m, p: Params):
     """min g over [0, 1), or a value of its sign, from its enclosure.
 
     m = _F64 returns a bound at _zero_guess beyond _SIGN_BAND if there is
-    one, else g at the kept float64 zero x64 = _g_prime_zero64(p), within
-    about g'' * 1e-24 of min g.  m = _MP returns a bound at x64, at 40
-    digits, beyond _HP_BAND = 1e-45, the zero band of _sign_exact; it reads
-    p itself, as the rounded a - b of a tangent pair (d/2, -d/2) can flip a
-    min g below about 3e-17.  The float64 search stops at |g'| <= 4.4e-15
+    one, which the enclosure there, under 3e-22 wide, finds for every
+    |min g| above the band plus g's float64 error, 1.4e-15; else g at the
+    kept float64 zero x64 = _g_prime_zero64(p), within about g'' * 1e-24
+    of min g.  m = _MP returns a bound at x64, at 40 digits, beyond
+    _HP_BAND = 1e-45, the zero band of _sign_exact; it reads p itself, as
+    the rounded a - b of a tangent pair (d/2, -d/2) can flip a min g below
+    about 3e-17.  The float64 search stops at |g'| <= 4.4e-15
     or within 1e-13 of the zero, and float64 g' errs by under 4e-15, so
     the enclosure at x64 is at most about 1e-27 wide.  Narrower, g is
     returned at the zero x~ that _polished_zero finds from x64: x~ is
@@ -408,17 +428,20 @@ def classify_numeric(p: Params, tol: float = 1e-9) -> RegionClass:
 def critical_point_g(p: Params, tol: float) -> float | None:
     """Unique zero of g' in (0,1) to absolute tolerance tol, else None.
 
-    The zero is _g_prime_zero64's, kept on p.  A tol below _ZERO64_RES =
-    1e-13, finer than float64 g' resolves the zero, has it polished at 40
-    digits by _polished_zero, as _g_min does, so a tol finer than the
-    float64 spacing there yields the double nearest any zero above 1e-19.
+    The zero is _g_prime_zero64's, and the signs of g' at 0 and 1- are
+    those _decide keeps on p, if it ran.  A tol below _ZERO64_RES = 1e-13,
+    finer than float64 g' resolves the zero, has it polished at 40 digits
+    by _polished_zero, as _g_min does, so a tol finer than the float64
+    spacing there yields the double nearest any zero above 1e-19.
     None means no interior zero at this tol: g' has constant sign (a-b
     outside (1/3, 4/pi**2), read by _sign_exact at any tol), or the zero
     lies above every double or within tol of 0 or 1.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
-    if _sign_exact(family._g_prime, p, 0) >= 0 or _sign_exact(family._g_prime_at_1, p) <= 0:
+    edges = p.__dict__.get("_edge_signs")  # kept by _decide; g's own edges do not bear on g'
+    lo, hi = edges[2:] if edges else (_sign_exact(family._g_prime, p, 0), _sign_exact(family._g_prime_at_1, p))
+    if lo >= 0 or hi <= 0:
         return None
     x = _g_prime_zero64(p)
     if x is not None and tol < _ZERO64_RES:

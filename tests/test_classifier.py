@@ -357,9 +357,9 @@ def test_zero_of_g_prime_above_every_double_reads_g_at_the_last_one(monkeypatch)
 
 
 def test_zero_guess_is_within_its_bound():
-    # the closed-form guess of the zero of g' is off by at most 4.3e-4 over
+    # the polynomial guess of the zero of g' is off by at most 4.1e-11 over
     # the window, which keeps the float64 enclosure of min g there under
-    # 3e-8 wide; at and past the window's edges it is clamped into [0, _TOP]
+    # 3e-22 wide; at and past the window's edges it is clamped into [0, _TOP]
     from carlson_bounds import classifier
 
     worst = 0.0
@@ -368,7 +368,7 @@ def test_zero_guess_is_within_its_bound():
             th = mp.pi / 2 * i / 2001
             d = float(1 / th**2 - mp.cos(th) / (th * mp.sin(th)))
             worst = max(worst, abs(classifier._zero_guess(d) - mp.cos(_tangent_theta(mpf(d)))))
-    assert worst < 5e-4, worst
+    assert worst < 4.1e-11, worst
     assert classifier._zero_guess(ONE_THIRD) == classifier._zero_guess(0.3) == classifier._TOP
     assert 0.0 <= classifier._zero_guess(FOUR_OVER_PI_SQ) < 1e-16
     assert classifier._zero_guess(0.5) == 0.0
@@ -392,17 +392,18 @@ def test_zero_of_g_prime_bisects_where_newton_leaves_the_bracket(scale, monkeypa
             assert abs(x - zero) < 2e-13, (d, start, x)
 
 
-@pytest.mark.parametrize("off", [1e-3, -1e-3, 2e-7, -2e-7, 1e-14, -1e-14])
+@pytest.mark.parametrize("off", [1e-3, -1e-3, 2e-7, -2e-7, 1e-11, -1e-11, 1e-13, -1e-13, 2e-15, -2e-15])
 def test_min_g_decided_at_the_guess_seeks_no_zero_of_g_prime(off, monkeypatch):
-    # the enclosure of min g at the guessed zero is under 3e-8 wide, so a
-    # min g of 2e-7 or more in size is decided there with no zero of g'
-    # sought and none kept; nearer s*(d) the zero is sought, and both
-    # classifiers give the 50-digit class
+    # the enclosure of min g at the guessed zero is under 3e-22 wide, so a
+    # min g outside the 1e-14 sign band is decided there with no zero of g'
+    # sought, no g'' read and no zero kept; inside the band the zero is
+    # sought, and both classifiers give the 50-digit class
     from carlson_bounds import classifier
 
     sought = []
     real = classifier._g_prime_zero64
     monkeypatch.setattr(classifier, "_g_prime_zero64", lambda p: sought.append(p) or real(p))
+    calls = _count_hp_calls(monkeypatch)
     rng = random.Random(23)
     for _ in range(20):
         d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
@@ -410,9 +411,63 @@ def test_min_g_decided_at_the_guess_seeks_no_zero_of_g_prime(off, monkeypatch):
         want = _window_class(a, b)
         p = Params(a, b)
         sought.clear()
+        calls["chain_eval"].clear()
         assert classify_numeric(p) is classify_symbolic(p) is want, (a, b)
-        assert (len(sought) == 0) is (abs(off) > 1e-7), (a, b, off)
-        assert ("_zero64" in p.__dict__) is (abs(off) < 1e-7), (a, b, off)
+        decided = abs(off) > 1e-14
+        assert (len(sought) == 0) is decided, (a, b, off)
+        assert ("_zero64" in p.__dict__) is not decided, (a, b, off)
+        if decided:
+            assert calls["chain_eval"] == [], (a, b, off, calls)
+
+
+def test_zero_search_from_the_guess_takes_one_step(monkeypatch):
+    # from a guess within 4.1e-11 of the zero, one Newton step reaches the
+    # float64 zero of g': at most three g' reads (the sign at 1 - 2**-53,
+    # the guess and the step) and one g'' read per search
+    from carlson_bounds import classifier
+
+    calls = _count_hp_calls(monkeypatch)
+    rng = random.Random(27)
+    for _ in range(2000):
+        d = rng.uniform(ONE_THIRD + 1e-9, FOUR_OVER_PI_SQ - 1e-9)
+        p = Params(0.5, 0.5 - d)
+        for seen in calls.values():
+            seen.clear()
+        assert classifier._g_prime_zero64(p) is not None, d
+        assert calls["g_prime_eval"] in ([None] * 2, [None] * 3), (d, calls)
+        assert calls["chain_eval"] in ([], [None]), (d, calls)
+
+
+def test_second_classifier_reads_no_sign_again(monkeypatch):
+    # the four edge signs and the sign of min g depend on (a, b) alone and
+    # are kept on the Params object: after classify_numeric, neither
+    # classifier, nor critical_point_g's sign test, reads one again
+    from carlson_bounds import classifier
+
+    count = [0]
+    real = classifier._sign_exact
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(classifier, "_sign_exact", counting)
+    rng = random.Random(31)
+    pairs = [(rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2)) for _ in range(200)]
+    for _ in range(50):
+        d = rng.uniform(ONE_THIRD + 1e-6, FOUR_OVER_PI_SQ - 1e-6)
+        pairs.append(_pair_at(d, _s_star50(d), rng.choice(["1e-12", "-1e-12", "2e-15", "-2e-15"])))
+    for a, b in pairs:
+        p = Params(a, b)
+        count[0] = 0
+        first = classify_numeric(p)
+        assert count[0] >= 4, (a, b, count)
+        count[0] = 0
+        assert classify_numeric(p) is first, (a, b)
+        classify_symbolic(p)
+        if not classifier.in_window(p) or "_zero64" in p.__dict__:
+            critical_point_g(p, 1e-9)
+        assert count[0] == 0, (a, b, count)
 
 
 @pytest.mark.parametrize("off", [1e-11, -1e-11, 1e-13, -1e-13])

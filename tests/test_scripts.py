@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import os
@@ -72,3 +73,20 @@ def test_width_profile_envelope_is_the_tightest():
         envelope = float(row[5])
         # the envelope intersects the families' intervals
         assert 0.0 < envelope <= min(family_widths), row
+
+
+def test_zero_guess_fit_reproduces_the_committed_coefficients():
+    # the fit of the zero of g' is derived from theta alone, so it prints
+    # classifier._GUESS_Q bit for bit; its worst error over 2000 theta is
+    # under the 4.1e-11 that _zero_guess states
+    from carlson_bounds import classifier
+
+    proc = run_script("zero_guess_fit.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1] == "_GUESS_Q = (", lines
+    coeffs = ast.literal_eval("(" + "".join(lines[2:-1]))
+    assert [c.hex() for c in coeffs] == [c.hex() for c in classifier._GUESS_Q]
+    label, worst, *rest = lines[-1].split()
+    assert label == "worst" and rest == ["over", "2000", "theta"], lines[-1]
+    assert float(worst) < 4.1e-11, worst
