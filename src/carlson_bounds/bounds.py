@@ -31,6 +31,9 @@ for every other family.  The derivation is in the comment above _OUT.
 best_envelope intersects the enabled families.  Doubles handed back by the
 certified paths are rounded outward (lower down, upper up) by a few ulp so
 the interval still contains arccos x after float64 evaluation error.
+
+bound_table's reference column is the oracle rounded to a double, read from
+a 110-bit first pass unless that lies near a rounding midpoint (_reference).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_add, mpf_shift, mpf_sub, round_nearest, to_float
+from mpmath.libmp import from_man_exp, mpf_atan
 
 from . import classifier, family
 from .classifier import TWO_OVER_PI
@@ -453,27 +456,24 @@ def approx_arccos(x: float, enabled=None) -> tuple[float, float]:
 TABLE_COLUMNS = ("x", "lower", "upper", "reference", "width", "lower_family", "upper_family")
 
 
-# digits of the first, cheaper oracle call behind a table reference
-_FIRST_DIGITS = 30
-
-
 def _reference(x: float, digits: int) -> float:
-    """arccos x at `digits`, rounded to the nearest double.
+    """arccos x at `digits`, rounded to the nearest double, for x in (0,1).
 
-    Above _FIRST_DIGITS the oracle is first asked for 30 digits, v.  Its
-    contract bounds the relative error by 10**(1-digits), so with
-    T = arccos x > 0, |v - T| <= 1e-29*T and the `digits` value A obeys
-    |A - T| <= 1e-30*T, hence |A - v| <= 1.1e-29*T < r = v*2**-95.  Round to
-    nearest is monotone, so when v - r and v + r (computed exactly) round to
-    the same double, A rounds to it as well; only otherwise is the oracle
-    called at `digits`.
+    s = isqrt(2**256*(1-x)/(1+x)), each floor taken on integers, is t = sqrt((1-x)/(1+x))
+    in 128-bit fixed point, less than 2 units low.  x <= 1 - 2**-53 gives t >= 2**-27 and
+    atan t >= t*pi/4, so v = 2*atan s = man*2**e, man of 110 bits, is within 2**-98 of
+    T = arccos x, relative.  At digits >= 17 the oracle's acos runs at 93 bits or more: its
+    value A is within 2**-91 of T, so |A - v| < v*2**-90 < r = man >> 80 units.  Rounding to
+    nearest is monotone and CPython's int to float is correctly rounded: if man - r and
+    man + r give one double, A rounds to it too (Ziv's test); else A is computed and rounded.
     """
-    if digits > _FIRST_DIGITS:
-        v = arccos_hp(x, _FIRST_DIGITS).value._mpf_
-        r = mpf_shift(v, -95)
-        lo = to_float(mpf_sub(v, r), rnd=round_nearest)
-        if lo == to_float(mpf_add(v, r), rnd=round_nearest):
-            return lo
+    n, d = x.as_integer_ratio()
+    s = math.isqrt(((d - n) << 256) // (d + n))
+    _, man, exp, bc = mpf_atan(from_man_exp(s, -128), 110)
+    man <<= 110 - bc
+    lo = float(man - (man >> 80))
+    if lo == float(man + (man >> 80)):
+        return math.ldexp(lo, exp + 1 + bc - 110)
     return float(arccos_hp(x, digits).value)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import round_ceiling, round_floor, to_float
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
 
 from carlson_bounds.bounds import (
     B_STAR,
@@ -616,7 +616,7 @@ def test_bound_table_reference_is_the_oracle_at_digits(digits):
         assert row["reference"] == float(arccos_hp(x, digits).value), (x, digits)
 
 
-def test_bound_table_reference_above_30_digits_needs_one_oracle_call(monkeypatch):
+def test_bound_table_reference_needs_no_oracle_call(monkeypatch):
     seen = []
 
     def counting(x, digits):
@@ -624,28 +624,74 @@ def test_bound_table_reference_above_30_digits_needs_one_oracle_call(monkeypatch
         return arccos_hp(x, digits)
 
     monkeypatch.setattr(bounds, "arccos_hp", counting)
-    bound_table([i / 25 for i in range(1, 25)], None, 120)
-    assert seen == [30] * 24
+    for digits in (17, 40, 120, 200):
+        bound_table([i / 25 for i in range(1, 25)], None, digits)
+    assert seen == []
 
 
 def test_bound_table_reference_falls_back_off_a_midpoint(monkeypatch):
-    # a 30-digit value on the midpoint between two doubles cannot fix the
-    # double, so the oracle is asked again at the requested digits
+    # a first pass on the midpoint between two doubles, or within its 2**-80
+    # radius of it, cannot fix the double, so the oracle is asked
     x, digits = 0.5, 60
     below = 1.0471975511965976
     above = math.nextafter(below, 2.0)
-    with workdps(60):
-        midpoint = (mpf(below) + mpf(above)) / 2
+    m, e = math.frexp(below)
+    midpoint = (2 * int(m * 2**53) + 1) << 56  # 110 bits, times 2**(e - 110)
     seen = []
 
     def fake(x_arg, digits_arg):
         seen.append((x_arg, digits_arg))
-        return HPValue(digits_arg, midpoint if digits_arg == 30 else mpf(above))
+        return HPValue(digits_arg, mpf(above))
 
     monkeypatch.setattr(bounds, "arccos_hp", fake)
-    rows = bound_table([x], None, digits)
-    assert seen == [(x, 30), (x, digits)]
-    assert rows[0]["reference"] == above
+    for off in (0, midpoint >> 90, -(midpoint >> 90)):
+        # the first pass doubles atan s, so the fake atan returns half the value
+        half = from_man_exp(midpoint + off, e - 111)
+        monkeypatch.setattr(bounds, "mpf_atan", lambda t, prec: half)
+        seen.clear()
+        rows = bound_table([x], None, digits)
+        assert seen == [(x, digits)], off
+        assert rows[0]["reference"] == above, off
+
+
+# doubles in (0, 1): any, subnormal, and the ulp ladder below 1
+_OPEN_UNIT_DOUBLES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 2**52 - 1).map(lambda k: k * 2.0**-1074),
+    st.integers(1, 2**52 - 1).map(lambda k: 1.0 - k * 2.0**-53),
+)
+
+
+@given(x=_OPEN_UNIT_DOUBLES, digits=st.integers(17, 200))
+def test_reference_is_the_oracle_rounded(x, digits):
+    assert bounds._reference(x, digits) == float(arccos_hp(x, digits).value)
+
+
+def test_reference_first_pass_within_2_pow_98(monkeypatch):
+    # v = 2*atan(s) is the value Ziv's test reads; it must lie within 2**-98
+    # of arccos x, relative, for the radius argument in _reference to hold
+    seen = []
+    real = bounds.mpf_atan
+
+    def recording(t, prec):
+        seen.append(real(t, prec))
+        return seen[-1]
+
+    monkeypatch.setattr(bounds, "mpf_atan", recording)
+    tiny = 2.0**-1022
+    xs = (
+        [1.0 - k * 2.0**-53 for k in (*range(1, 65), 1000, 2**20 + 1, 2**40 - 3)]
+        + [k * 2.0**-1074 for k in (*range(1, 21), 2**52 - 1)]
+        + [2.0**-k for k in range(1, 1075)]
+        + [math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0)]
+    )
+    with workdps(60):
+        for x in xs:
+            seen.clear()
+            bounds._reference(x, 17)
+            v = 2 * mp.make_mpf(seen[0])
+            exact = mp.acos(mpf(x))
+            assert abs(v - exact) <= exact * mpf(2) ** -98, x
 
 
 def test_bound_table_validates_enabled_once(monkeypatch):
